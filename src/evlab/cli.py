@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -125,13 +124,6 @@ class OutputWriter:
         return path
 
 
-def _pmap(fn, values, jobs):
-    if jobs == 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, values))
-
-
 def cmd_stationary(args, out: OutputWriter):
     units = _units(args.units)
     spec = stationary.BarrierSpec(args.u0, args.d, args.m)
@@ -150,7 +142,7 @@ def cmd_stationary(args, out: OutputWriter):
             stationary.probability_flux(sol, spec.width_d / 2.0, units),
         ]
 
-    rows = _pmap(solve, energies, args.jobs)
+    rows = [solve(E) for E in energies]
     header = ["E", "k", "kappa", "re_F1", "im_F1", "re_F2", "im_F2",
               "re_r", "im_r", "re_t", "im_t", "T", "R", "flux_interior"]
     out.write_csv("stationary.csv", header, rows)
@@ -174,7 +166,7 @@ def cmd_ttime(args, out: OutputWriter):
         fac = rep.factor_A if rep.factor_A is not None else math.nan
         return [f, tau, fac, rep.phase_time, rep.dwell_time, rep.period_T]
 
-    rows = _pmap(solve, fractions, args.jobs)
+    rows = [solve(f) for f in fractions]
     header = ["e_over_u0", "esposito_tau", "factor_a", "phase_time",
               "dwell_time", "period_T"]
     out.write_csv("ttime.csv", header, rows)
@@ -333,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="both", choices=["csv", "json", "both"])
         p.add_argument("--force", action="store_true",
                        help="allow overwriting existing output files")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                       help="accepted for compatibility; no effect")
 
     p = sub.add_parser("stationary", help="barrier/threshold solutions and flux")
     common(p)
@@ -427,7 +420,7 @@ def run(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1
 

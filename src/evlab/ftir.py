@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
-from .stationary import match_evanescent_slab
+from .stationary import _phase_slope, _slab_field, match_evanescent_slab
 
 
 class NotEvanescentError(ValueError):
@@ -76,7 +76,7 @@ def gap_decay(
     n: float, theta: float, omega: float, units: UnitSystem = NATURAL_UNITS
 ) -> dict:
     """Evanescent decay data for the gap: alpha, kappa_x, k_parallel."""
-    if omega <= 0:
+    if np.any(omega <= 0):
         raise ValueError("omega must be positive")
     s = n * math.sin(theta)
     if s <= 1.0:
@@ -91,19 +91,29 @@ def gap_decay(
     }
 
 
+def _gap_wavenumbers(omega, spec: GapSpec, units: UnitSystem):
+    """Decay data and exterior normal wavenumber k1 at omega > 0 (scalar or array)."""
+    decay = gap_decay(spec.refr_index_n, spec.incidence_theta, omega, units)
+    k1 = (omega / units.c) * spec.refr_index_n * math.cos(spec.incidence_theta)
+    return decay, k1
+
+
+def _gap_slab(omega, spec: GapSpec, units: UnitSystem):
+    """Decay data, k1 and the matched (F1, F2, r, t) at omega > 0 (scalar or
+    array); a zero-width gap is the identity transfer."""
+    decay, k1 = _gap_wavenumbers(omega, spec, units)
+    if spec.gap_d == 0.0:
+        return decay, k1, (1.0, 0.0, 0.0, 1.0)
+    return decay, k1, match_evanescent_slab(k1, decay["kappa_x"], spec.gap_d)
+
+
 def gap_transfer(
     omega: float, spec: GapSpec, units: UnitSystem = NATURAL_UNITS
 ) -> GapTransfer:
     """Interface-matched transfer of a monochromatic wave through the gap."""
-    decay = gap_decay(spec.refr_index_n, spec.incidence_theta, omega, units)
-    k1 = (omega / units.c) * spec.refr_index_n * math.cos(spec.incidence_theta)
-    kappa = decay["kappa_x"]
-    if spec.gap_d == 0.0:
-        F1, F2, r, t = 1.0, 0.0, 0.0, 1.0
-    else:
-        F1, F2, r, t = match_evanescent_slab(k1, kappa, spec.gap_d)
+    decay, k1, (F1, F2, r, t) = _gap_slab(omega, spec, units)
     return GapTransfer(
-        omega=omega, k_parallel=decay["k_parallel"], k_normal=k1, kappa_x=kappa,
+        omega=omega, k_parallel=decay["k_parallel"], k_normal=k1, kappa_x=decay["kappa_x"],
         F1=complex(F1), F2=complex(F2), r=complex(r), t=complex(t),
     )
 
@@ -117,12 +127,10 @@ def gap_group_delay(
         h = 1e-6 * omega0
     if omega0 - h <= 0:
         raise ValueError("finite-difference step crosses omega = 0")
-    phases = np.unwrap(
-        [np.angle(gap_transfer(omega0 - h, spec, units).t),
-         np.angle(gap_transfer(omega0, spec, units).t),
-         np.angle(gap_transfer(omega0 + h, spec, units).t)]
-    )
-    return float(phases[2] - phases[0]) / (2.0 * h)
+    if spec.gap_d == 0.0:
+        return 0.0  # identity transfer: t = 1 at every frequency
+    decay, k1 = _gap_wavenumbers(np.array([omega0 - h, omega0, omega0 + h]), spec, units)
+    return float(_phase_slope(k1, decay["kappa_x"], spec.gap_d, h))
 
 
 def goos_hanchen_estimate(kappa_x: float) -> float:
@@ -146,17 +154,19 @@ def _resynthesize(spec_values: np.ndarray) -> np.ndarray:
     return np.fft.fft(spec_values)
 
 
-def _band_transfer(omegas: np.ndarray, spec: GapSpec, units: UnitSystem) -> np.ndarray:
-    """t(omega) on an FFT frequency grid; negative frequencies mirror the
-    positive ones by conjugation (real linear medium), omega = 0 passes
-    unchanged (transmission -> 1 in the long-wavelength limit)."""
+def _band_slab(omegas: np.ndarray, spec: GapSpec, units: UnitSystem):
+    """kappa_x, F1 and t on an FFT frequency grid, all bins in one kernel
+    call. Negative frequencies mirror the positive ones by conjugation (real
+    linear medium); omega = 0 passes unchanged (kappa_x = 0, F1 = t = 1:
+    transmission -> 1 in the long-wavelength limit)."""
+    kappa = np.zeros(omegas.shape)
+    F1 = np.ones(omegas.shape, dtype=complex)
     t = np.ones(omegas.shape, dtype=complex)
-    for i, w in enumerate(omegas):
-        if w > 0:
-            t[i] = gap_transfer(float(w), spec, units).t
-        elif w < 0:
-            t[i] = np.conj(gap_transfer(float(-w), spec, units).t)
-    return t
+    nonzero = omegas != 0
+    decay, _, (F1_nz, _, _, t_nz) = _gap_slab(np.abs(omegas[nonzero]), spec, units)
+    kappa[nonzero], F1[nonzero], t[nonzero] = decay["kappa_x"], F1_nz, t_nz
+    negative = omegas < 0
+    return kappa, np.where(negative, F1.conj(), F1), np.where(negative, t.conj(), t)
 
 
 def transmit_pulse(
@@ -183,7 +193,7 @@ def transmit_pulse(
             f"spectrum leaks outside the evanescent band: fraction {leak:.3e} "
             f"of the energy sits at omega <= 0 (tolerance {band_leak_tol:.1e})"
         )
-    t_of_w = _band_transfer(omegas, spec, units)
+    _, _, t_of_w = _band_slab(omegas, spec, units)
     return WavePacket(signal.grid, _resynthesize(S * t_of_w))
 
 
@@ -194,18 +204,8 @@ def interior_field(
     if not 0.0 <= x <= spec.gap_d:
         raise ValueError("x must lie inside the gap [0, d]")
     omegas, S = _spectrum(signal)
-    weights = np.zeros(omegas.shape, dtype=complex)
-    for i, w in enumerate(omegas):
-        if w > 0:
-            g = gap_transfer(float(w), spec, units)
-            weights[i] = g.F1 * math.exp(-g.kappa_x * x) + g.F2 * math.exp(g.kappa_x * x)
-        elif w < 0:
-            g = gap_transfer(float(-w), spec, units)
-            weights[i] = np.conj(
-                g.F1 * math.exp(-g.kappa_x * x) + g.F2 * math.exp(g.kappa_x * x)
-            )
-        else:
-            weights[i] = 1.0
+    kappa, F1, t = _band_slab(omegas, spec, units)
+    weights = _slab_field(F1, t, kappa, spec.gap_d, x)
     return WavePacket(signal.grid, _resynthesize(S * weights))
 
 

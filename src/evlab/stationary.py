@@ -9,14 +9,12 @@ Conventions: unit incident amplitude from the left, regions
     x > d:       t exp(ik (x - d))
 
 so |t| is the amplitude just past the exit face. Interfaces are matched by
-2x2 transfer matrices (continuity of the field and its derivative); closed
-forms serve only as test oracles.
+continuity of the field and its derivative in the interior basis
+exp(-kappa x), exp(kappa (x - d)); closed forms serve only as test oracles.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +75,7 @@ class StationarySolution:
             out[inside] = self.F1 * np.exp(-self.kappa * x[inside])
         else:
             inside = (~left) & (x <= self.width_d)
-            out[inside] = self.F1 * np.exp(-self.kappa * x[inside]) + self.F2 * np.exp(
-                self.kappa * x[inside]
-            )
+            out[inside] = _slab_field(self.F1, self.t, self.kappa, self.width_d, x[inside])
             beyond = x > self.width_d
             out[beyond] = self.t * np.exp(1j * self.k * (x[beyond] - self.width_d))
         return out if out.shape else complex(out)
@@ -93,10 +89,12 @@ def _wavenumbers(E: float, U0: float, m: float, units: UnitSystem):
             f"E={E} is not below the barrier height U0={U0}; "
             "this solver covers only the evanescent (tunneling) regime"
         )
-    hbar = units.hbar
-    k = math.sqrt(2.0 * m * E) / hbar
-    kappa = math.sqrt(2.0 * m * (U0 - E)) / hbar
-    return k, kappa
+    return _k_kappa(E, U0, m, units)
+
+
+def _k_kappa(E, U0: float, m: float, units: UnitSystem):
+    """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array)."""
+    return np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
 
 
 def threshold_solution(
@@ -112,43 +110,57 @@ def threshold_solution(
     )
 
 
-def _plane_basis(k_, x):
-    # Columns: value and derivative of exp(+-ikx) at position x.
-    e = cmath.exp(1j * k_ * x)
-    return np.array([[e, 1.0 / e], [1j * k_ * e, -1j * k_ / e]], dtype=complex)
+def _slab_system(k_out, kappa, d):
+    """Check the inputs; return q = e^{-kappa d}, s = 1 - q^2, p = kappa + ik,
+    m = kappa - ik and det = m^2 - (p q)^2 = -4ik kappa + p^2 s (no cancellation)."""
+    if np.any(k_out <= 0) or np.any(kappa <= 0) or np.any(d <= 0):
+        raise ValueError("k_out, kappa, and d must be positive")
+    q = np.exp(-kappa * d)
+    s = -np.expm1(-2.0 * kappa * d)
+    p = kappa + 1j * k_out
+    return q, s, p, kappa - 1j * k_out, -4j * k_out * kappa + p * p * s
 
 
-def _evan_basis(kp, x):
-    em = cmath.exp(-kp * x)
-    ep = cmath.exp(kp * x)
-    return np.array([[em, ep], [-kp * em, kp * ep]], dtype=complex)
-
-
-def match_evanescent_slab(k_out: float, kappa: float, d: float):
+def match_evanescent_slab(k_out, kappa, d):
     """Match an evanescent slab of decay kappa and width d between two
     half-spaces of real wavenumber k_out, unit incidence from the left.
 
+    k_out, kappa and d broadcast against each other (scalars or arrays).
     Returns (F1, F2, r, t) with t referenced to the exit face. Shared by the
     quantum barrier and the optical-gap transfer.
     """
-    if k_out <= 0 or kappa <= 0 or d <= 0:
-        raise ValueError("k_out, kappa, and d must be positive")
-    # Interior coefficients expressed through a trial t = 1 at x = d, then
-    # propagated back to x = 0 to read off (1, r).
-    exit_state = _plane_basis(k_out, 0.0) @ np.array([1.0, 0.0], dtype=complex)
-    interior = np.linalg.solve(_evan_basis(kappa, d), exit_state)
-    entry_state = _evan_basis(kappa, 0.0) @ interior
-    incoming = np.linalg.solve(_plane_basis(k_out, 0.0), entry_state)
-    # Scale the trial so the incident amplitude is exactly 1.
-    scale = 1.0 / incoming[0]
-    F1, F2 = interior * scale
-    return complex(F1), complex(F2), complex(incoming[1] * scale), complex(scale)
+    q, s, p, m, det = _slab_system(k_out, kappa, d)
+    # Interior field G1 e^{-kappa x} + G2 e^{kappa (x - d)}: F1 = G1, F2 = G2 q.
+    # Matching at x = 0 and x = d with r and t eliminated leaves a system with
+    # bounded entries, so no e^{+kappa d} is formed:
+    #     [[-p q, m], [-m, p q]] @ [G1, G2] = [0, 2ik]
+    # r = G1 + q G2 - 1 and t = q G1 + G2 are reduced to single products, which
+    # avoids their cancellation in thin slabs and at k >> kappa.
+    G1 = -2j * k_out * m / det
+    G2 = -2j * k_out * p * q / det
+    return G1, G2 * q, -p * m * s / det, -4j * k_out * kappa * q / det
+
+
+def _phase_slope(k_out, kappa, d, h):
+    """Central difference of arg t over three samples spaced h apart, unwrapped
+    so principal-value jumps cannot corrupt it. arg t is read from
+    t e^{kappa d} = -4ik kappa / det, which stays finite where t underflows."""
+    det = _slab_system(k_out, kappa, d)[-1]
+    phases = np.unwrap(np.angle(-4j * k_out * kappa / det))
+    return (phases[2] - phases[0]) / (2.0 * h)
+
+
+def _slab_field(F1, t, kappa, d, x):
+    """Interior field F1 e^{-kappa x} + G2 e^{kappa (x - d)} at depth x, with
+    G2 = t - F1 e^{-kappa d} from exit-face continuity: finite, and t at x = d,
+    even where F2 = G2 e^{-kappa d} underflows."""
+    return F1 * np.exp(-kappa * x) + (t - F1 * np.exp(-kappa * d)) * np.exp(kappa * (x - d))
 
 
 def barrier_solution(
     E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS
 ) -> StationarySolution:
-    """Tunneling through a rectangular barrier via 2x2 interface matching."""
+    """Tunneling through a rectangular barrier via interface matching."""
     k, kappa = _wavenumbers(E, spec.height_U0, spec.mass_m, units)
     d = spec.width_d
     F1, F2, r, t = match_evanescent_slab(k, kappa, d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import NATURAL_UNITS, UnitSystem, integrate
-from .stationary import BarrierSpec, barrier_solution
+from .stationary import BarrierSpec, _k_kappa, _phase_slope, barrier_solution
 
 
 class PathologicalRegimeError(ValueError):
@@ -86,10 +86,6 @@ def esposito_special_energy(U0: float) -> float:
     return four_pi2 / (1.0 + four_pi2) * U0
 
 
-def _unwrapped_arg_t(E: float, spec: BarrierSpec, units: UnitSystem) -> float:
-    return np.angle(barrier_solution(E, spec, units).t)
-
-
 def phase_time(
     E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS, h: float | None = None
 ) -> float:
@@ -107,12 +103,8 @@ def phase_time(
         raise ValueError(
             f"finite-difference step h={h} reaches outside (0, U0) from E={E}"
         )
-    phases = np.unwrap(
-        [_unwrapped_arg_t(E - h, spec, units),
-         _unwrapped_arg_t(E, spec, units),
-         _unwrapped_arg_t(E + h, spec, units)]
-    )
-    return units.hbar * (phases[2] - phases[0]) / (2.0 * h)
+    k, kappa = _k_kappa(np.array([E - h, E, E + h]), U0, spec.mass_m, units)
+    return units.hbar * _phase_slope(k, kappa, spec.width_d, h)
 
 
 def dwell_time(
@@ -123,10 +115,12 @@ def dwell_time(
     j_in = units.hbar * sol.k / spec.mass_m
     kappa, d = sol.kappa, spec.width_d
     F1, F2 = sol.F1, sol.F2
-    # Closed-form integral of |F1 e^{-kx} + F2 e^{kx}|^2 over [0, d].
+    # Closed-form integral of |F1 e^{-kx} + F2 e^{kx}|^2 over [0, d], with the
+    # growing term as |G2|^2 (1 - e^{-2kd}) / 2k, G2 = F2 e^{kd} = t - F1 e^{-kd}.
+    G2 = sol.t - F1 * math.exp(-kappa * d)
+    decay_integral = -math.expm1(-2.0 * kappa * d) / (2.0 * kappa)
     stored = (
-        abs(F1) ** 2 * (1.0 - math.exp(-2.0 * kappa * d)) / (2.0 * kappa)
-        + abs(F2) ** 2 * (math.exp(2.0 * kappa * d) - 1.0) / (2.0 * kappa)
+        (abs(F1) ** 2 + abs(G2) ** 2) * decay_integral
         + 2.0 * (F1 * F2.conjugate()).real * d
     )
     return stored / j_in

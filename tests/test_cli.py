@@ -38,6 +38,32 @@ class TestExitCodes:
                       tmp_path, monkeypatch)
         assert code == 0
 
+    def test_arithmetic_error_is_1(self, tmp_path, monkeypatch, capsys):
+        # (E - U0)^2 overflows in the relativistic wavenumber.
+        code = invoke(["stationary", "--u0", "1e200", "--e", "1", "--m0", "1"],
+                      tmp_path, monkeypatch)
+        assert code == 1
+        assert "numerical error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, table", [
+        (["stationary", "--u0", "2", "--d", "800", "--e", "1"], "stationary.csv"),
+        (["ttime", "--u0", "2", "--d", "800", "--e", "0.5"], "ttime.csv"),
+    ])
+    def test_opaque_barrier_runs(self, tmp_path, monkeypatch, argv, table):
+        # kappa d = 1131: exp(kappa d) would overflow.
+        assert invoke(argv, tmp_path, monkeypatch) == 0
+        row = (tmp_path / table).read_text().strip().split("\n")[1]
+        assert all(math.isfinite(float(v)) for v in row.split(","))
+
+    def test_opaque_gap_experiment_report(self, tmp_path, monkeypatch):
+        code = invoke(["ftir", "--experiment-report", "--kappa-d", "1000"],
+                      tmp_path, monkeypatch)
+        assert code == 0
+        rep = load_summary(tmp_path, "ftir")["outputs"]["experiment_report"]
+        # The delay falls off like e^{-2 kappa d}: zero to rounding here.
+        assert math.isfinite(rep["tau_g_ps"])
+        assert abs(rep["tau_g_times_nu0"]) < 1e-9
+
 
 class TestOutputs:
     def test_stationary_csv_and_summary(self, tmp_path, monkeypatch):

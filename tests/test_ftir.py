@@ -166,6 +166,18 @@ class TestPulseTransmission:
         mid = interior_field(pulse, spec.gap_d / 2.0, spec)
         assert out.energy() < mid.energy() < pulse.energy() * 2.0
 
+    def test_interior_field_at_exit_of_opaque_gap(self):
+        # The top FFT bin sees kappa_x d = 1333: exp(kappa_x d) would overflow
+        # and F2 exp(kappa_x x) would turn into inf * 0 = NaN.
+        pulse = gaussian_pulse(20.0, 0.5, dtau=0.05)
+        spec = GapSpec(1.5, math.pi / 4.0, 60.0)
+        at_exit = interior_field(pulse, spec.gap_d, spec)
+        out = transmit_pulse(pulse, spec)
+        assert np.all(np.isfinite(at_exit.values))
+        scale = np.max(np.abs(out.values))
+        assert scale > 0.0
+        assert np.allclose(at_exit.values, out.values, rtol=0.0, atol=1e-12 * scale)
+
     def test_interior_field_position_validated(self):
         pulse = gaussian_pulse(20.0, 0.5)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evlab.numcore import UnitSystem, principal_sqrt
+from evlab.numcore import NATURAL_UNITS, UnitSystem, principal_sqrt
 from evlab.stationary import (
     BarrierSpec,
     barrier_solution,
@@ -65,6 +65,23 @@ class TestBarrierSolution:
             left = sol.psi(x0 - eps)
             right = sol.psi(x0 + eps)
             assert left == pytest.approx(right, abs=1e-7)
+
+    def test_psi_at_exit_face_is_t(self):
+        # kappa d = 1.4, 693 and 1131: the growing wave is written relative to
+        # the exit face, so psi(d) = t even where F2 ~ e^{-2 kappa d} underflows.
+        for E, U0, d in [(0.6, 1.5, 1.2), (0.5, 2.0, 400.0), (1.0, 2.0, 800.0)]:
+            sol = barrier_solution(E, BarrierSpec(U0, d))
+            assert sol.psi(d) == pytest.approx(sol.t, rel=1e-12, abs=0.0)
+        opaque = barrier_solution(1.0, BarrierSpec(2.0, 800.0))
+        assert opaque.psi(800.0) == opaque.t
+
+    def test_opaque_barrier_stays_finite_and_unitary(self):
+        # kappa d = 1131: exp(kappa d) would overflow.
+        spec = BarrierSpec(2.0, 800.0)
+        sol = barrier_solution(1.0, spec)
+        values = [sol.F1, sol.F2, sol.r, sol.t, *sol.psi(np.linspace(-1.0, 801.0, 9))]
+        assert all(cmath.isfinite(v) for v in values)
+        assert abs(sol.transmission + sol.reflection - 1.0) < 1e-12
 
     def test_rejects_above_barrier_energy(self):
         with pytest.raises(ValueError):
@@ -129,9 +146,37 @@ class TestMatchEvanescentSlab:
             match_evanescent_slab(1.0, 1.0, 0.0)
 
     def test_opaque_limit_kills_growing_wave(self):
-        F1, F2, r, t = match_evanescent_slab(1.0, 1.0, 20.0)
-        assert abs(F2) < abs(F1) * 1e-15
-        assert abs(r) == pytest.approx(1.0, abs=1e-12)
+        for d in (20.0, 800.0):
+            F1, F2, r, t = match_evanescent_slab(1.0, 1.0, d)
+            assert abs(F2) < abs(F1) * 1e-15
+            assert abs(r) == pytest.approx(1.0, abs=1e-12)
+
+    def test_broadcast_equals_scalar_calls(self):
+        k = np.array([0.3, 1.0, 2.5, 1.4142135623730951])
+        kappa = np.array([[1.7], [0.2]])
+        d = np.array([0.3, 1.7, 10.0, 200.0])
+        batched = match_evanescent_slab(k, kappa, d)
+        for i, j in np.ndindex(2, 4):
+            scalar = match_evanescent_slab(float(k[j]), float(kappa[i, 0]), float(d[j]))
+            for b, s in zip(batched, scalar):
+                assert b[i, j] == pytest.approx(s, rel=1e-15, abs=0.0)
+
+    def test_ftir_band_weights_equal_gap_transfer(self):
+        # The FFT-domain weights come from one batched kernel call; bin by bin
+        # they are the scalar gap transfer, conjugated for omega < 0 and 1 at 0.
+        from evlab.ftir import GapSpec, _band_slab, gap_transfer
+
+        spec = GapSpec(1.5, math.pi / 4.0, 0.7)
+        omegas = 2.0 * math.pi * np.fft.fftfreq(16, 0.25)
+        _, _, t = _band_slab(omegas, spec, NATURAL_UNITS)
+        for w, tw in zip(omegas, t):
+            if w > 0:
+                expected = gap_transfer(w, spec).t
+            elif w < 0:
+                expected = gap_transfer(-w, spec).t.conjugate()
+            else:
+                expected = 1.0
+            assert tw == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestRelativisticWavenumber:

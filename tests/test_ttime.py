@@ -112,6 +112,9 @@ class TestPhaseTime:
         t14 = phase_time(1.0, spec14)
         assert t10 == pytest.approx(1.0, rel=1e-6)
         assert abs(t10 - t14) / t10 < 1e-6
+        # kappa d = 849 and 1131: t underflows, its phase does not.
+        for d in (600.0, 800.0):
+            assert phase_time(1.0, BarrierSpec(2.0, d)) == pytest.approx(1.0, rel=1e-6)
 
     def test_requires_tunneling_regime(self):
         spec = BarrierSpec(2.0, 1.0)
@@ -126,6 +129,29 @@ class TestDwellTime:
             assert dwell_time(E, spec) == pytest.approx(
                 dwell_time_quadrature(E, spec), rel=1e-9
             )
+
+    def test_buttiker_closed_form(self):
+        # Buttiker, Phys. Rev. B 27, 6178 (1983), with k0^2 = k^2 + kappa^2.
+        E, U0, m = 0.5, 2.0, 1.0
+        k, kap = math.sqrt(2.0 * m * E), math.sqrt(2.0 * m * (U0 - E))
+        k02 = k * k + kap * kap
+        for kd in (0.5, 3.0, 14.0):
+            closed = (m * k / kap) * (
+                2.0 * kd * (kap * kap - k * k) + k02 * math.sinh(2.0 * kd)
+            ) / (4.0 * k * k * kap * kap + k02 * k02 * math.sinh(kd) ** 2)
+            assert dwell_time(E, BarrierSpec(U0, kd / kap, m)) == pytest.approx(
+                closed, rel=1e-12
+            )
+
+    def test_opaque_widths_match_quadrature_and_limit(self):
+        # kappa d = 693 and 1131, where exp(2 kappa d) would overflow; the
+        # opaque limit is 2 k / (kappa (k^2 + kappa^2)) with k = 1, kappa = sqrt 3.
+        limit = 2.0 / (math.sqrt(3.0) * 4.0)
+        for d in (400.0, 653.0):
+            spec = BarrierSpec(2.0, d)
+            td = dwell_time(0.5, spec)
+            assert td == pytest.approx(dwell_time_quadrature(0.5, spec), rel=1e-9)
+            assert td == pytest.approx(limit, rel=1e-9)
 
     def test_positive_and_below_phase_time_when_opaque(self):
         spec = BarrierSpec(2.0, 8.0)
