@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_QUAD_DEPTH = 60
+MAX_QUAD_PANELS = 1 << 16  # bisection is breadth-first: caps an unresolvable integrand's memory
 
 
 class IntegrationError(RuntimeError):
@@ -106,53 +107,57 @@ def principal_sqrt(z: complex) -> complex:
     return complex(w)
 
 
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+# QUADPACK qk15 (Piessens et al., 1983) to double precision, outermost node first: Kronrod
+# nodes on [-1, 1], their weights, and the 7-point Gauss weights of every second node.
+_XGK = np.array([
+    0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+    0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0])
+_WGK = np.array([
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
+_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_KRONROD_W = np.concatenate([_WGK, _WGK[-2::-1]])
+_GAUSS_W = np.concatenate([_WG, _WG[-2::-1]])
 
 
-def _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth):
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, True
-    if depth >= MAX_QUAD_DEPTH:
-        return left + right + delta / 15.0, False
-    lv, lok = _adaptive(f, a, fa, m, fm, left, lm, flm, tol / 2.0, depth + 1)
-    rv, rok = _adaptive(f, m, fm, b, fb, right, rm, frm, tol / 2.0, depth + 1)
-    return lv + rv, lok and rok
+def _panels(f, lo, hi):
+    """Rows (lo, hi, K15, |K15 - G7|) of panels [lo, hi], from one f call."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = f(centre[:, None] + half[:, None] * _NODES)
+    kronrod = half * (fx @ _KRONROD_W)
+    return np.stack([lo, hi, kronrod, np.abs(kronrod - half * (fx[:, 1::2] @ _GAUSS_W))])
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature of f over [a, b].
+    """Adaptive Gauss-Kronrod (G7/K15) quadrature of f over [a, b].
 
-    The result I satisfies |I - integral| <= tol * max(1, |I|) for integrands
-    resolvable within MAX_QUAD_DEPTH bisection levels; otherwise an
-    IntegrationError carrying the best estimate is raised.
+    f maps an array of abscissae to an array of the same shape, one call for
+    the endpoints and one per bisection round. The result I satisfies
+    |I - integral| <= tol * max(1, |I|) within MAX_QUAD_DEPTH rounds and
+    MAX_QUAD_PANELS panels, or an IntegrationError carries the best estimate.
     """
     if not a < b:
         raise ValueError(f"require a < b, got a={a}, b={b}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fa, fb = f(a), f(b)
-    if not (np.isfinite(fa) and np.isfinite(fb)):
+    if not np.all(np.isfinite(f(np.array([a, b], dtype=float)))):
         raise ValueError("integrand not finite at interval endpoints")
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-    # Scale estimate for the relative tolerance: a composite pass, because a
-    # single Simpson panel can overestimate |I| by orders of magnitude for
-    # sharply peaked integrands on wide intervals.
-    xs = np.linspace(a, b, 257)
-    ys = np.array([f(x) for x in xs])
-    composite = float(np.trapezoid(ys, xs))
-    scale = max(1.0, abs(composite))
-    value, converged = _adaptive(f, a, fa, b, fb, whole, m, fm, tol * scale, 0)
-    if not converged:
-        raise IntegrationError(
-            f"quadrature did not converge within depth {MAX_QUAD_DEPTH}", value
-        )
-    return value
+    panels = _panels(f, np.array([a], dtype=float), np.array([b], dtype=float))
+    for rounds in range(MAX_QUAD_DEPTH + 1):
+        lo, hi, value, error = panels
+        total = float(value.sum())
+        budget = tol * max(1.0, abs(total))
+        if error.sum() <= budget:
+            return total
+        if rounds == MAX_QUAD_DEPTH or lo.size > MAX_QUAD_PANELS:
+            raise IntegrationError(f"quadrature did not converge in {rounds} rounds", total)
+        # Bisect every panel whose error exceeds an equal share of the budget;
+        # the others keep their values and may be split in a later round.
+        split = error > budget / error.size
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = _panels(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
+        panels = np.concatenate([panels[:, ~split], halves], axis=1)
 
 
 def std_dev(density: np.ndarray, grid: Grid1D) -> float:

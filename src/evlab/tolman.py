@@ -185,7 +185,7 @@ def tradeoff_sweep(
             frame_V,
             units,
         )
-        amplitude = math.exp(-2.0 * kappa * d)
+        amplitude = result["amplitude"]
         rows.append({
             "d": d,
             "advance": result["advance"],

@@ -127,12 +127,12 @@ def dwell_time(
 
 
 def dwell_time_quadrature(
-    E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS, tol: float = 1e-12
+    E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS
 ) -> float:
     """Independent dwell-time route: direct quadrature of |psi|^2 in the barrier."""
     sol = barrier_solution(E, spec, units)
     j_in = units.hbar * sol.k / spec.mass_m
-    stored = integrate(lambda x: abs(sol.psi(x)) ** 2, 0.0, spec.width_d, tol)
+    stored = integrate(lambda x: abs(sol.psi(x)) ** 2, 0.0, spec.width_d, 1e-12)
     return stored / j_in
 
 

@@ -82,12 +82,12 @@ class TestPrincipalSqrt:
 
 class TestIntegrate:
     def test_cubic_is_exact(self):
-        # Simpson's rule integrates cubics exactly.
+        # The Kronrod and Gauss rules both integrate cubics exactly.
         val = integrate(lambda x: x**3 - 2.0 * x + 1.0, -1.0, 2.0, 1e-12)
         assert val == pytest.approx(15.0 / 4.0 - 3.0 + 3.0, abs=1e-13)
 
     def test_gaussian(self):
-        val = integrate(lambda x: math.exp(-x * x), -8.0, 8.0, 1e-12)
+        val = integrate(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-12)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_broad_lorentzian_matches_arctan(self):
@@ -97,13 +97,32 @@ class TestIntegrate:
         assert val == pytest.approx(exact, abs=1e-9)
 
     def test_additive_over_subintervals(self):
-        f = lambda x: math.sin(3.0 * x) ** 2 + x
+        f = lambda x: np.sin(3.0 * x) ** 2 + x
         whole = integrate(f, 0.0, 2.0, 1e-12)
         parts = integrate(f, 0.0, 0.7, 1e-12) + integrate(f, 0.7, 2.0, 1e-12)
         assert whole == pytest.approx(parts, abs=1e-11)
 
+    def test_sharp_lorentzian_peak_matches_arctan(self):
+        # Width 1e-6 on an interval 2e9 times wider: after the first bisection
+        # no node lies within 4 of the peak, and only the error estimate leads
+        # bisection back to it.
+        g = 1e-6
+        f = lambda x: g / (math.pi * (x * x + g * g))
+        val = integrate(f, -1e3, 1e3, 1e-10)
+        assert val == pytest.approx((2.0 / math.pi) * math.atan(1e3 / g), abs=1e-10)
+
+    def test_integrand_receives_only_arrays(self):
+        seen = []
+
+        def f(x):
+            seen.append(type(x))
+            return np.cos(40.0 * x)
+
+        integrate(f, 0.0, 1.0, 1e-12)
+        assert seen and set(seen) == {np.ndarray}
+
     def test_oscillatory(self):
-        val = integrate(lambda x: math.cos(40.0 * x), 0.0, 1.0, 1e-12)
+        val = integrate(lambda x: np.cos(40.0 * x), 0.0, 1.0, 1e-12)
         assert val == pytest.approx(math.sin(40.0) / 40.0, abs=1e-12)
 
     def test_bad_interval_rejected(self):
@@ -113,24 +132,40 @@ class TestIntegrate:
             integrate(lambda x: x, 0.0, 1.0, tol=0.0)
 
     def test_nonfinite_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: 1.0 / x if x else math.inf, 0.0, 1.0)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError):
+            integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
     def test_jump_resolved_to_float_resolution(self):
         # Bisection collapses any finite interval to float spacing well
         # before the depth cap, so even a discontinuity integrates exactly.
         c = 1e6 / math.sqrt(2.0)  # irrational: never a bisection point
-        f = lambda x: 0.0 if x < c else 1.0
+        f = lambda x: np.where(x < c, 0.0, 1.0)
         assert integrate(f, 0.0, 1e6, 1e-12) == pytest.approx(1e6 - c, rel=1e-12)
 
     def test_depth_cap_raises_with_best_estimate(self, monkeypatch):
         import evlab.numcore as numcore
         monkeypatch.setattr(numcore, "MAX_QUAD_DEPTH", 10)
         c = 1.0 / math.sqrt(2.0)
-        f = lambda x: 0.0 if x < c else 1.0
+        f = lambda x: np.where(x < c, 0.0, 1.0)
         with pytest.raises(IntegrationError) as info:
             integrate(f, 0.0, 1.0, 1e-12)
         assert info.value.best_estimate == pytest.approx(1.0 - c, abs=1e-3)
+
+    def test_panel_cap_raises_with_best_estimate(self, monkeypatch):
+        import evlab.numcore as numcore
+        monkeypatch.setattr(numcore, "MAX_QUAD_PANELS", 256)
+        # Oscillation far below double-precision spacing looks like noise: no
+        # panel ever converges, so every round doubles the panel count.
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.sin(1e15 * x)
+
+        with pytest.raises(IntegrationError) as info:
+            integrate(f, 0.0, 1.0, 1e-12)
+        assert max(sizes) <= 2 * 15 * 256
+        assert abs(info.value.best_estimate) <= 1.0
 
 
 class TestStdDev:

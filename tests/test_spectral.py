@@ -27,7 +27,7 @@ from evlab.spectral import (
 def fourier_quadrature(k, a, tol=1e-12):
     """Direct Fourier transform of the box mode, as an independent oracle."""
     box = BoxState(a)
-    re = integrate(lambda x: box.psi(x) * math.cos(k * x), -a / 2.0, a / 2.0, tol)
+    re = integrate(lambda x: box.psi(x) * np.cos(k * x), -a / 2.0, a / 2.0, tol)
     return re / math.sqrt(2.0 * math.pi)
 
 
@@ -114,6 +114,21 @@ class TestTailProbability:
             tail = tail_probability(ak / a, a)
             coeff = tail["exact"] * ak**3
             assert coeff == pytest.approx(ORACLE_TAIL_COEFFICIENT, rel=0.05)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ak", [60.0, 300.0, 600.0, 656.7, 700.0, 240.0 * math.pi,
+                                    856.3, 900.0])
+    def test_matches_fourier_integral_oracle(self, a, ak):
+        # QUADPACK's Fourier-integral routine on [k', inf) of
+        # |F|^2 = 2 pi a (1 + cos a k) / (pi^2 - a^2 k^2)^2; its own error is ~1e-7.
+        from scipy.integrate import quad
+
+        k_prime = ak / a
+        g = lambda k: 2.0 * math.pi * a / (math.pi**2 - (a * k) ** 2) ** 2
+        smooth, _ = quad(g, k_prime, math.inf, epsabs=0.0, epsrel=1e-12)
+        wave, _ = quad(g, k_prime, math.inf, weight="cos", wvar=a, epsabs=1e-10 * smooth)
+        oracle = 2.0 * (smooth + wave)
+        assert tail_probability(k_prime, a)["exact"] == pytest.approx(oracle, rel=1e-6)
 
     def test_printed_asymptotic_is_double(self):
         tail = tail_probability(200.0 * math.pi, 1.0)
