@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
-from .stationary import _phase_slope, _slab_field, match_evanescent_slab
+from .stationary import _phase_rate, _slab_field, match_evanescent_slab
 
 
 class NotEvanescentError(ValueError):
@@ -119,18 +119,16 @@ def gap_transfer(
 
 
 def gap_group_delay(
-    spec: GapSpec, omega0: float, units: UnitSystem = NATURAL_UNITS,
-    h: float | None = None,
+    spec: GapSpec, omega0: float, units: UnitSystem = NATURAL_UNITS
 ) -> float:
-    """Group delay tau_g = d(arg t)/d(omega) by central finite difference."""
-    if h is None:
-        h = 1e-6 * omega0
-    if omega0 - h <= 0:
-        raise ValueError("finite-difference step crosses omega = 0")
+    """Group delay tau_g = d(arg t)/d(omega), differentiated analytically: both
+    wavenumbers are proportional to omega, so dk1/domega = k1/omega and
+    dkappa/domega = kappa/omega."""
+    decay, k1 = _gap_wavenumbers(omega0, spec, units)
     if spec.gap_d == 0.0:
         return 0.0  # identity transfer: t = 1 at every frequency
-    decay, k1 = _gap_wavenumbers(np.array([omega0 - h, omega0, omega0 + h]), spec, units)
-    return float(_phase_slope(k1, decay["kappa_x"], spec.gap_d, h))
+    kappa = decay["kappa_x"]
+    return float(_phase_rate(k1, kappa, spec.gap_d, k1 / omega0, kappa / omega0))
 
 
 def goos_hanchen_estimate(kappa_x: float) -> float:
@@ -148,10 +146,6 @@ def _spectrum(signal: WavePacket):
     spec = np.fft.ifft(signal.values)
     omegas = 2.0 * math.pi * np.fft.fftfreq(signal.grid.count, signal.grid.dx)
     return omegas, spec
-
-
-def _resynthesize(spec_values: np.ndarray) -> np.ndarray:
-    return np.fft.fft(spec_values)
 
 
 def _band_slab(omegas: np.ndarray, spec: GapSpec, units: UnitSystem):
@@ -194,7 +188,7 @@ def transmit_pulse(
             f"of the energy sits at omega <= 0 (tolerance {band_leak_tol:.1e})"
         )
     _, _, t_of_w = _band_slab(omegas, spec, units)
-    return WavePacket(signal.grid, _resynthesize(S * t_of_w))
+    return WavePacket(signal.grid, np.fft.fft(S * t_of_w))
 
 
 def interior_field(
@@ -206,7 +200,7 @@ def interior_field(
     omegas, S = _spectrum(signal)
     kappa, F1, t = _band_slab(omegas, spec, units)
     weights = _slab_field(F1, t, kappa, spec.gap_d, x)
-    return WavePacket(signal.grid, _resynthesize(S * weights))
+    return WavePacket(signal.grid, np.fft.fft(S * weights))
 
 
 def _fractional_shift(values: np.ndarray, lag: float) -> np.ndarray:

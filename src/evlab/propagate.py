@@ -136,8 +136,6 @@ def evolve_wave(
     initial_prev: np.ndarray | None = None,
     units: UnitSystem = NATURAL_UNITS,
     record_every: int = 1,
-    front_epsilon: float | None = None,
-    boundary_tol: float = 1e-12,
 ) -> PropagationRecord:
     """Leapfrog evolution of the cutoff wave equation.
 
@@ -168,9 +166,8 @@ def evolve_wave(
     amp0 = np.abs(psi0).max()
     if amp0 == 0:
         raise ValueError("zero initial data")
-    if front_epsilon is None:
-        front_epsilon = 1e-10 * amp0
-    edge_limit = boundary_tol * amp0
+    front_epsilon = 1e-10 * amp0
+    edge_limit = 1e-12 * amp0
 
     def lap(f):
         out = np.zeros_like(f)

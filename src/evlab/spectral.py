@@ -213,13 +213,14 @@ def gaussian_band_report(
     """
     if omega0 <= 0 or sigma <= 0:
         raise ValueError("omega0 and sigma must be positive")
-    density = lambda w: np.exp(-((w - omega0) ** 2) / (2.0 * sigma**2))
-    lo, hi = omega0 - 12.0 * sigma, omega0 + 12.0 * sigma
-    norm = integrate(density, lo, hi, 1e-12)
-    mean = integrate(lambda w: w * density(w), lo, hi, 1e-12) / norm
-    var = integrate(lambda w: (w - mean) ** 2 * density(w), lo, hi, 1e-12) / norm
+    # In u = (omega - omega0) / sigma the integrals are O(1), so the
+    # tol max(1, |I|) contract stays relative at any sigma and omega0.
+    density = lambda u: np.exp(-0.5 * u * u)
+    norm = integrate(density, -12.0, 12.0, 1e-12)
+    mean_u = integrate(lambda u: u * density(u), -12.0, 12.0, 1e-12) / norm
+    var_u = integrate(lambda u: (u - mean_u) ** 2 * density(u), -12.0, 12.0, 1e-12) / norm
     return {
         "band": "infinite",
-        "delta_omega": math.sqrt(var),
-        "mean_E": units.hbar * mean,
+        "delta_omega": sigma * math.sqrt(var_u),
+        "mean_E": units.hbar * (omega0 + sigma * mean_u),
     }

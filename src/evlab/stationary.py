@@ -141,13 +141,16 @@ def match_evanescent_slab(k_out, kappa, d):
     return G1, G2 * q, -p * m * s / det, -4j * k_out * kappa * q / det
 
 
-def _phase_slope(k_out, kappa, d, h):
-    """Central difference of arg t over three samples spaced h apart, unwrapped
-    so principal-value jumps cannot corrupt it. arg t is read from
-    t e^{kappa d} = -4ik kappa / det, which stays finite where t underflows."""
-    det = _slab_system(k_out, kappa, d)[-1]
-    phases = np.unwrap(np.angle(-4j * k_out * kappa / det))
-    return (phases[2] - phases[0]) / (2.0 * h)
+def _phase_rate(k_out, kappa, d, dk, dkappa):
+    """d(arg t)/dlambda for wavenumbers with derivatives dk = dk_out/dlambda,
+    dkappa = dkappa/dlambda. t e^{kappa d} = -4ik kappa / det with k kappa > 0,
+    so arg t = -arg det + const and the rate is -Im(det'/det), with
+    det' = -4i(k' kappa + k kappa') + 2p p' s + 2d kappa' (p q)^2, finite where
+    t underflows."""
+    q, s, p, _, det = _slab_system(k_out, kappa, d)
+    ddet = (-4j * (dk * kappa + k_out * dkappa) + 2.0 * p * (dkappa + 1j * dk) * s
+            + 2.0 * d * dkappa * (p * q) ** 2)
+    return -(ddet / det).imag
 
 
 def _slab_field(F1, t, kappa, d, x):

@@ -64,6 +64,13 @@ class TestExitCodes:
         assert math.isfinite(rep["tau_g_ps"])
         assert abs(rep["tau_g_times_nu0"]) < 1e-9
 
+    def test_ttime_next_to_threshold_runs(self, tmp_path, monkeypatch):
+        # E/U0 = 1 - 5e-7, just below the barrier top.
+        assert invoke(["ttime", "--u0", "2", "--e", "0.9999995"], tmp_path, monkeypatch) == 0
+        header, row = (tmp_path / "ttime.csv").read_text().strip().split("\n")
+        phase = float(row.split(",")[header.split(",").index("phase_time")])
+        assert math.isfinite(phase) and phase > 0
+
 
 class TestOutputs:
     def test_stationary_csv_and_summary(self, tmp_path, monkeypatch):

@@ -110,13 +110,22 @@ class TestGapTransfer:
 
 
 class TestGroupDelay:
-    def test_step_convergence_is_second_order(self):
-        alpha = glass_alpha()
-        spec = GapSpec(1.5, math.pi / 4.0, 1.0 / alpha)  # kappa d = 1 at omega = 1
-        g1 = gap_group_delay(spec, 1.0, h=1e-3)
-        g2 = gap_group_delay(spec, 1.0, h=5e-4)
-        g3 = gap_group_delay(spec, 1.0, h=2.5e-4)
-        assert (g1 - g2) / (g2 - g3) == pytest.approx(4.0, rel=0.05)
+    @pytest.mark.parametrize("n", [1.45, 1.5, 1.7])
+    @pytest.mark.parametrize("theta", [0.8, 1.0, 1.3])
+    def test_matches_closed_form(self, n, theta):
+        # arg t = arctan(rho tanh(kappa d)) with rho = (k^2 - kappa^2) / (2 k kappa)
+        # constant in omega and kappa d proportional to it, so
+        # tau_g = (kappa d / omega) rho / (rho^2 sinh^2 kappa d + cosh^2 kappa d).
+        alpha = math.sqrt((n * math.sin(theta)) ** 2 - 1.0)
+        k_over_omega = n * math.cos(theta)
+        rho = (k_over_omega**2 - alpha**2) / (2.0 * k_over_omega * alpha)
+        for kd in (0.01, 1.0, 5.0, 8.0):
+            for omega in (0.5, 1.0, 4.0):
+                spec = GapSpec(n, theta, kd / (alpha * omega))
+                oracle = (kd / omega) * rho / (
+                    rho**2 * math.sinh(kd) ** 2 + math.cosh(kd) ** 2
+                )
+                assert gap_group_delay(spec, omega) == pytest.approx(oracle, rel=1e-9)
 
     def test_delay_decays_with_opacity(self):
         # The model is scale invariant (both wavenumbers are proportional to

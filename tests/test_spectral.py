@@ -177,6 +177,15 @@ class TestBandReports:
         assert rep["delta_omega"] == pytest.approx(0.5, rel=1e-8)
         assert rep["mean_E"] == pytest.approx(10.0, rel=1e-10)
 
+    @pytest.mark.parametrize("omega0, sigma", [
+        (1.0, 1e-9), (1e6, 1e-3), (1.0, 1e-4), (3.0, 1e-6),
+    ])
+    def test_gaussian_band_deviation_is_sigma(self, omega0, sigma):
+        # The measured deviation must not depend on how sigma compares with 1.
+        rep = gaussian_band_report(omega0, sigma)
+        assert rep["delta_omega"] == pytest.approx(sigma, rel=1e-10)
+        assert rep["mean_E"] == pytest.approx(omega0, rel=1e-12)
+
     def test_gaussian_band_validation(self):
         with pytest.raises(ValueError):
             gaussian_band_report(0.0, 1.0)

@@ -21,6 +21,17 @@ from evlab.ttime import (
 from test_stationary import closed_form_t
 
 
+def buttiker_phase_time(E, U0, d):
+    """Closed-form phase time of a rectangular barrier (hbar = m = 1;
+    M. Buttiker, Phys. Rev. B 27, 6178 (1983)):
+    [2 kappa d k^2 (kappa^2 - k^2) + k0^4 sinh 2 kappa d]
+    / (k kappa [4 k^2 kappa^2 + k0^4 sinh^2 kappa d]), k0^2 = k^2 + kappa^2."""
+    k, kappa = math.sqrt(2.0 * E), math.sqrt(2.0 * (U0 - E))
+    k04 = (k * k + kappa * kappa) ** 2
+    num = 2.0 * kappa * d * k * k * (kappa * kappa - k * k) + k04 * math.sinh(2.0 * kappa * d)
+    return num / (k * kappa * (4.0 * k * k * kappa * kappa + k04 * math.sinh(kappa * d) ** 2))
+
+
 class TestClosedForms:
     def test_sqrt_form_value(self):
         # tau = hbar / sqrt(E (U0 - E)) in natural units.
@@ -95,13 +106,24 @@ class TestPhaseTime:
         oracle = (phi(E + h) - phi(E - h)) / (2.0 * h)
         assert phase_time(E, spec) == pytest.approx(oracle, rel=1e-6)
 
-    def test_second_order_step_convergence(self):
-        spec = BarrierSpec(2.0, 1.0 / math.sqrt(2.0))
-        t1 = phase_time(1.0, spec, h=1e-3)
-        t2 = phase_time(1.0, spec, h=5e-4)
-        t3 = phase_time(1.0, spec, h=2.5e-4)
-        ratio = (t1 - t2) / (t2 - t3)
-        assert ratio == pytest.approx(4.0, rel=0.05)
+    @pytest.mark.parametrize("U0", [1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("d", [0.05, 0.7, 3.0, 10.0])
+    def test_matches_buttiker_closed_form(self, U0, d):
+        for f in (0.01, 0.2, 0.5, 0.9, 0.999):
+            E = f * U0
+            assert phase_time(E, BarrierSpec(U0, d)) == pytest.approx(
+                buttiker_phase_time(E, U0, d), rel=1e-9
+            )
+
+    def test_finite_up_to_threshold(self):
+        # Both the derivative and the closed form lose about eps / (kappa d)^2
+        # as E -> U0, so the check stops at 1 - 1e-8.
+        spec = BarrierSpec(2.0, 1.0)
+        for f in (1.0 - 1e-6, 1.0 - 1e-7, 1.0 - 1e-8):
+            E = 2.0 * f
+            assert phase_time(E, spec) == pytest.approx(
+                buttiker_phase_time(E, 2.0, 1.0), rel=1e-8
+            )
 
     def test_hartman_saturation_to_opaque_limit(self):
         # For an opaque barrier the phase time saturates at 2 m / (hbar k kappa)
