@@ -53,10 +53,11 @@ def _fmt(x) -> str:
 
 
 def _parse_sweep(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise CliError(f"sweep must be lo:hi:count, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise CliError(f"sweep must be lo:hi:count, got {text!r}") from None
     if n < 1:
         raise CliError("sweep count must be at least 1")
     return np.linspace(lo, hi, n)
@@ -127,22 +128,18 @@ class OutputWriter:
 def cmd_stationary(args, out: OutputWriter):
     units = _units(args.units)
     spec = stationary.BarrierSpec(args.u0, args.d, args.m)
-    energies = _parse_sweep(args.sweep_e) if args.sweep_e else [args.e]
-    if energies[0] is None:
+    if not args.sweep_e and args.e is None:
         raise CliError("give --e or --sweep-e")
+    energies = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
     out.inputs.update({"u0": args.u0, "d": args.d, "m": args.m})
-
-    def solve(E):
-        sol = stationary.barrier_solution(float(E), spec, units)
-        return [
-            E, sol.k, sol.kappa,
-            sol.F1.real, sol.F1.imag, sol.F2.real, sol.F2.imag,
-            sol.r.real, sol.r.imag, sol.t.real, sol.t.imag,
-            sol.transmission, sol.reflection,
-            stationary.probability_flux(sol, spec.width_d / 2.0, units),
-        ]
-
-    rows = [solve(E) for E in energies]
+    sol = stationary.barrier_solution(energies, spec, units)
+    rows = np.column_stack([
+        energies, sol.k, sol.kappa,
+        sol.F1.real, sol.F1.imag, sol.F2.real, sol.F2.imag,
+        sol.r.real, sol.r.imag, sol.t.real, sol.t.imag,
+        sol.transmission, sol.reflection,
+        stationary.probability_flux(sol, spec.width_d / 2.0, units),
+    ])
     header = ["E", "k", "kappa", "re_F1", "im_F1", "re_F2", "im_F2",
               "re_r", "im_r", "re_t", "im_t", "T", "R", "flux_interior"]
     out.write_csv("stationary.csv", header, rows)
@@ -154,19 +151,13 @@ def cmd_stationary(args, out: OutputWriter):
 def cmd_ttime(args, out: OutputWriter):
     units = _units(args.units)
     spec = stationary.BarrierSpec(args.u0, args.d, args.m)
-    fractions = _parse_sweep(args.sweep_e) if args.sweep_e else [args.e]
-    if fractions[0] is None:
+    if not args.sweep_e and args.e is None:
         raise CliError("give --e or --sweep-e (as fractions of U0)")
+    fractions = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
     out.inputs.update({"u0": args.u0, "d": args.d, "m": args.m})
-
-    def solve(f):
-        E = float(f) * args.u0
-        rep = ttime.report(E, spec, units)
-        tau = rep.esposito_tau if rep.esposito_tau is not None else math.nan
-        fac = rep.factor_A if rep.factor_A is not None else math.nan
-        return [f, tau, fac, rep.phase_time, rep.dwell_time, rep.period_T]
-
-    rows = [solve(f) for f in fractions]
+    rep = ttime.report(fractions * args.u0, spec, units)
+    rows = np.column_stack([fractions, rep.esposito_tau, rep.factor_A, rep.phase_time,
+                            rep.dwell_time, rep.period_T])
     header = ["e_over_u0", "esposito_tau", "factor_a", "phase_time",
               "dwell_time", "period_T"]
     out.write_csv("ttime.csv", header, rows)

@@ -23,6 +23,9 @@ from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
 from .stationary import _phase_rate, _slab_field, match_evanescent_slab
 
 
+BAND_LEAK_TOL = 1e-6  # largest energy fraction transmit_pulse accepts at omega <= 0
+
+
 class NotEvanescentError(ValueError):
     """The gap is propagating, not evanescent (n sin theta <= 1)."""
 
@@ -164,14 +167,13 @@ def _band_slab(omegas: np.ndarray, spec: GapSpec, units: UnitSystem):
 
 
 def transmit_pulse(
-    signal: WavePacket, spec: GapSpec, units: UnitSystem = NATURAL_UNITS,
-    band_leak_tol: float = 1e-6,
+    signal: WavePacket, spec: GapSpec, units: UnitSystem = NATURAL_UNITS
 ) -> WavePacket:
     """Pass a time-domain field through the gap frequency by frequency.
 
     The signal is the complex field at the gap entrance sampled in time
     (grid coordinate = t). Its spectrum must lie in the evanescent band
-    (positive frequencies): energy at omega <= 0 beyond band_leak_tol of the
+    (positive frequencies): energy at omega <= 0 beyond BAND_LEAK_TOL of the
     total raises.
     """
     if spec.gap_d == 0.0:
@@ -182,10 +184,10 @@ def transmit_pulse(
     if total == 0:
         raise ValueError("zero-energy input signal")
     leak = power[omegas <= 0].sum() / total
-    if leak > band_leak_tol:
+    if leak > BAND_LEAK_TOL:
         raise ValueError(
             f"spectrum leaks outside the evanescent band: fraction {leak:.3e} "
-            f"of the energy sits at omega <= 0 (tolerance {band_leak_tol:.1e})"
+            f"of the energy sits at omega <= 0 (tolerance {BAND_LEAK_TOL:.1e})"
         )
     _, _, t_of_w = _band_slab(omegas, spec, units)
     return WavePacket(signal.grid, np.fft.fft(S * t_of_w))

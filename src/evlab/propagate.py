@@ -257,15 +257,14 @@ def evolve_schrodinger(
     )
 
 
-def peak_speed(record: PropagationRecord, window: int = 10) -> float:
-    """Least-squares slope of the peak trajectory over the last `window`
-    recorded snapshots; single-step differences are too noisy at grid
-    resolution."""
+def peak_speed(record: PropagationRecord) -> float:
+    """Least-squares slope of the peak trajectory over the last 10 recorded
+    snapshots (all of them if fewer); single-step differences are too noisy
+    at grid resolution."""
     if len(record.times) < 2:
         raise ValueError("record too short")
-    w = min(window, len(record.times))
-    t = record.times[-w:]
-    x = record.peak_positions[-w:]
+    t = record.times[-10:]
+    x = record.peak_positions[-10:]
     return float(np.polyfit(t, x, 1)[0])
 
 

@@ -37,13 +37,15 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """Piecewise coefficients of one monochromatic solution.
+    """Piecewise coefficients of monochromatic solutions.
 
     kappa is the evanescent decay constant inside the classically forbidden
     region; k the exterior wavenumber. F1/F2 multiply the decaying/growing
     interior exponentials; r and t are the exterior reflection and
     transmission amplitudes. width_d is None for a threshold (semi-infinite
-    forbidden region), in which case F2 = 0 and t = 0.
+    forbidden region), in which case F2 = 0 and t = 0. The energy-dependent
+    fields broadcast over E: scalars for a scalar energy, arrays of its shape
+    for an array of energies.
     """
 
     energy_E: float
@@ -65,7 +67,8 @@ class StationarySolution:
         return abs(self.r) ** 2
 
     def psi(self, x, units: UnitSystem = NATURAL_UNITS):
-        """Evaluate the stationary wavefunction at position(s) x."""
+        """Evaluate the stationary wavefunction at position(s) x; defined for
+        a scalar-energy solution."""
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape, dtype=complex)
         left = x < 0
@@ -81,19 +84,14 @@ class StationarySolution:
         return out if out.shape else complex(out)
 
 
-def _wavenumbers(E: float, U0: float, m: float, units: UnitSystem):
-    if E <= 0:
-        raise ValueError(f"energy must be positive, got E={E}")
-    if E >= U0:
+def _wavenumbers(E, U0: float, m: float, units: UnitSystem):
+    """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array);
+    raises ValueError if any E lies outside, NaN included."""
+    if not np.all((E > 0) & (E < U0)):
         raise ValueError(
-            f"E={E} is not below the barrier height U0={U0}; "
+            f"E={E} is not inside 0 < E < U0={U0}; "
             "this solver covers only the evanescent (tunneling) regime"
         )
-    return _k_kappa(E, U0, m, units)
-
-
-def _k_kappa(E, U0: float, m: float, units: UnitSystem):
-    """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array)."""
     return np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
 
 
@@ -161,15 +159,16 @@ def _slab_field(F1, t, kappa, d, x):
 
 
 def barrier_solution(
-    E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS
+    E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS
 ) -> StationarySolution:
-    """Tunneling through a rectangular barrier via interface matching."""
+    """Tunneling through a rectangular barrier via interface matching, at a
+    scalar energy or an array of energies 0 < E < U0."""
     k, kappa = _wavenumbers(E, spec.height_U0, spec.mass_m, units)
     d = spec.width_d
     F1, F2, r, t = match_evanescent_slab(k, kappa, d)
     return StationarySolution(
-        energy_E=E, k=k, kappa=kappa, F1=complex(F1), F2=complex(F2),
-        r=complex(r), t=complex(t), width_d=d, mass_m=spec.mass_m,
+        energy_E=E, k=k, kappa=kappa, F1=F1, F2=F2, r=r, t=t, width_d=d,
+        mass_m=spec.mass_m,
     )
 
 

@@ -1,11 +1,14 @@
 """Tests for the command-line front end."""
 
+import csv
 import json
 import math
 
 import pytest
 
+from evlab import stationary, ttime
 from evlab.cli import run
+from test_ttime import buttiker_dwell_time, buttiker_phase_time
 
 
 def invoke(args, tmp_path, monkeypatch, env_dir=None):
@@ -21,17 +24,29 @@ def load_summary(directory, command):
     return json.loads((directory / f"{command}_summary.json").read_text())
 
 
-class TestExitCodes:
-    def test_usage_error_is_2(self, tmp_path, monkeypatch):
-        code = invoke(["stationary", "--u0", "2.0", "--sweep-e", "bad"],
-                      tmp_path, monkeypatch)
-        assert code == 2
+def load_rows(path):
+    with open(path) as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
-    def test_numeric_error_is_1(self, tmp_path, monkeypatch):
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["stationary", "--u0", "2.0", "--sweep-e", "bad"],
+        ["stationary", "--u0", "2.0", "--sweep-e", "0.2:1.8:x"],
+        ["stationary", "--u0", "2.0", "--sweep-e", "a:1.8:4"],
+        ["tolman", "--sweep-d", "1:2:q"],
+    ])
+    def test_usage_error_is_2(self, tmp_path, monkeypatch, argv):
+        assert invoke(argv, tmp_path, monkeypatch) == 2
+
+    @pytest.mark.parametrize("argv", [
         # Above-barrier energy: the evanescent solver refuses.
-        code = invoke(["stationary", "--u0", "2.0", "--e", "3.0"],
-                      tmp_path, monkeypatch)
-        assert code == 1
+        ["stationary", "--u0", "2.0", "--e", "3.0"],
+        ["stationary", "--u0", "2", "--e", "nan"],
+        ["ttime", "--u0", "2", "--e", "nan"],
+    ])
+    def test_numeric_error_is_1(self, tmp_path, monkeypatch, argv):
+        assert invoke(argv, tmp_path, monkeypatch) == 1
 
     def test_success_is_0(self, tmp_path, monkeypatch):
         code = invoke(["stationary", "--u0", "2.0", "--e", "1.0"],
@@ -132,11 +147,57 @@ class TestOutputs:
 class TestSubcommands:
     def test_ttime_sweep_handles_above_barrier(self, tmp_path, monkeypatch):
         code = invoke(["ttime", "--u0", "2.0", "--d", "1.0",
-                       "--sweep-e", "0.2:0.9:4"], tmp_path, monkeypatch)
+                       "--sweep-e", "0.2:1.3:6"], tmp_path, monkeypatch)
         assert code == 0
         summary = load_summary(tmp_path, "ttime")
         es = summary["outputs"]["special_energy"]
         assert es["E_s_over_u0"] == pytest.approx(0.9752953, abs=1e-6)
+        rows = load_rows(tmp_path / "ttime.csv")
+        assert sum(row["e_over_u0"] > 1.0 for row in rows) == 2
+        for row in rows:
+            E = 2.0 * row["e_over_u0"]
+            if E > 2.0:
+                assert all(math.isnan(row[name]) for name in
+                           ("esposito_tau", "factor_a", "phase_time", "dwell_time"))
+            else:
+                assert row["phase_time"] == pytest.approx(
+                    buttiker_phase_time(E, 2.0, 1.0), rel=1e-9)
+                assert row["dwell_time"] == pytest.approx(
+                    buttiker_dwell_time(E, 2.0, 1.0), rel=1e-9)
+
+    def test_stationary_sweep_rows_match_closed_forms(self, tmp_path, monkeypatch):
+        # d = 800 and U0 - E from 0.05 down to 1e-4 put kappa d between 253
+        # and 11: T spans 1e-220 to 1e-13, where exp(kappa d) would overflow.
+        d = 800.0
+        code = invoke(["stationary", "--u0", "2", "--d", "800",
+                       "--sweep-e", "1.95:1.9999:12"], tmp_path, monkeypatch)
+        assert code == 0
+        rows = load_rows(tmp_path / "stationary.csv")
+        assert len(rows) == 12
+        for row in rows:
+            k, kappa = row["k"], row["kappa"]
+            # T = 1 / (1 + (k0^2 sinh(kappa d) / 2 k kappa)^2), written with
+            # q = e^{-kappa d} so that it underflows instead of overflowing.
+            a = 4.0 * k * kappa * math.exp(-kappa * d)
+            b = (k * k + kappa * kappa) * -math.expm1(-2.0 * kappa * d)
+            assert row["T"] == pytest.approx(a * a / (a * a + b * b), rel=1e-12, abs=0.0)
+            assert abs(row["T"] + row["R"] - 1.0) < 1e-12
+            t2 = row["re_t"] ** 2 + row["im_t"] ** 2
+            assert row["flux_interior"] == pytest.approx(k * t2, rel=1e-12, abs=0.0)
+        assert 0.0 < rows[0]["T"] < 1e-200 and rows[-1]["T"] > 1e-14
+
+    @pytest.mark.parametrize("module, name, argv", [
+        (stationary, "barrier_solution", ["stationary", "--u0", "2", "--sweep-e", "0.2:1.8:25"]),
+        (stationary, "barrier_solution", ["stationary", "--u0", "2", "--e", "1"]),
+        (ttime, "report", ["ttime", "--u0", "2", "--sweep-e", "0.1:1.2:25"]),
+        (ttime, "report", ["ttime", "--u0", "2", "--e", "0.5"]),
+    ])
+    def test_one_library_call_per_run(self, tmp_path, monkeypatch, module, name, argv):
+        calls = []
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or call(*a, **kw))
+        assert invoke(argv, tmp_path, monkeypatch) == 0
+        assert len(calls) == 1
 
     def test_spectrum_tail_warning_recorded(self, tmp_path, monkeypatch):
         code = invoke(["spectrum", "--a", "1.0", "--tail-akprime", "628.3"],

@@ -89,6 +89,30 @@ class TestBarrierSolution:
         with pytest.raises(ValueError):
             barrier_solution(-0.1, BarrierSpec(2.0, 1.0))
 
+    def test_rejects_nan_energy(self):
+        # NaN fails every comparison, so a range check written as E <= 0 or
+        # E >= U0 would let it through to NaN amplitudes.
+        spec = BarrierSpec(2.0, 1.0)
+        for E in (math.nan, np.array([0.5, math.nan, 1.5])):
+            with pytest.raises(ValueError):
+                barrier_solution(E, spec)
+        with pytest.raises(ValueError):
+            threshold_solution(math.nan, 2.0)
+
+    @pytest.mark.parametrize("d", [0.05, 1.0, 800.0])
+    def test_array_energies_equal_scalar_calls(self, d):
+        spec = BarrierSpec(2.0, d, 1.3)
+        E = np.linspace(0.01, 1.99, 23)
+        sol = barrier_solution(E, spec)
+        for name in ("energy_E", "k", "kappa", "F1", "F2", "r", "t"):
+            assert getattr(sol, name).shape == E.shape
+        for i, e in enumerate(E):
+            one = barrier_solution(float(e), spec)
+            for name in ("k", "kappa", "F1", "F2", "r", "t"):
+                assert getattr(sol, name)[i] == pytest.approx(
+                    getattr(one, name), rel=1e-15, abs=0.0
+                )
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             BarrierSpec(0.0, 1.0)

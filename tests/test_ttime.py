@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from evlab.stationary import BarrierSpec
@@ -30,6 +31,17 @@ def buttiker_phase_time(E, U0, d):
     k04 = (k * k + kappa * kappa) ** 2
     num = 2.0 * kappa * d * k * k * (kappa * kappa - k * k) + k04 * math.sinh(2.0 * kappa * d)
     return num / (k * kappa * (4.0 * k * k * kappa * kappa + k04 * math.sinh(kappa * d) ** 2))
+
+
+def buttiker_dwell_time(E, U0, d, m=1.0):
+    """Closed-form dwell time of a rectangular barrier (hbar = 1; Buttiker,
+    Phys. Rev. B 27, 6178 (1983)), with k0^2 = k^2 + kappa^2."""
+    k, kap = math.sqrt(2.0 * m * E), math.sqrt(2.0 * m * (U0 - E))
+    k02 = k * k + kap * kap
+    kd = kap * d
+    return (m * k / kap) * (
+        2.0 * kd * (kap * kap - k * k) + k02 * math.sinh(2.0 * kd)
+    ) / (4.0 * k * k * kap * kap + k02 * k02 * math.sinh(kd) ** 2)
 
 
 class TestClosedForms:
@@ -95,6 +107,8 @@ class TestClosedForms:
             fn(2.5, 2.0)
         with pytest.raises(ValueError):
             fn(-1.0, 2.0)
+        with pytest.raises(ValueError):
+            fn(math.nan, 2.0)
 
 
 class TestPhaseTime:
@@ -155,14 +169,11 @@ class TestDwellTime:
     def test_buttiker_closed_form(self):
         # Buttiker, Phys. Rev. B 27, 6178 (1983), with k0^2 = k^2 + kappa^2.
         E, U0, m = 0.5, 2.0, 1.0
-        k, kap = math.sqrt(2.0 * m * E), math.sqrt(2.0 * m * (U0 - E))
-        k02 = k * k + kap * kap
+        kap = math.sqrt(2.0 * m * (U0 - E))
         for kd in (0.5, 3.0, 14.0):
-            closed = (m * k / kap) * (
-                2.0 * kd * (kap * kap - k * k) + k02 * math.sinh(2.0 * kd)
-            ) / (4.0 * k * k * kap * kap + k02 * k02 * math.sinh(kd) ** 2)
-            assert dwell_time(E, BarrierSpec(U0, kd / kap, m)) == pytest.approx(
-                closed, rel=1e-12
+            d = kd / kap
+            assert dwell_time(E, BarrierSpec(U0, d, m)) == pytest.approx(
+                buttiker_dwell_time(E, U0, d, m), rel=1e-12
             )
 
     def test_opaque_widths_match_quadrature_and_limit(self):
@@ -191,6 +202,28 @@ class TestReport:
 
     def test_sweep_crosses_barrier_top_without_raising(self):
         rep = report(2.5, BarrierSpec(2.0, 1.0))
-        assert rep.esposito_tau is None and rep.factor_A is None
+        assert math.isnan(rep.esposito_tau) and math.isnan(rep.factor_A)
         assert math.isnan(rep.phase_time) and math.isnan(rep.dwell_time)
         assert rep.period_T > 0
+
+    @pytest.mark.parametrize("d", [0.05, 1.0, 800.0])
+    def test_array_equals_scalar_calls(self, d):
+        spec = BarrierSpec(2.0, d, 1.3)
+        E = np.linspace(0.01, 3.0, 23)
+        rep = report(E, spec)
+        names = ("period_T", "esposito_tau", "factor_A", "phase_time", "dwell_time")
+        for i, e in enumerate(E):
+            one = report(float(e), spec)
+            for name in names:
+                got, want = getattr(rep, name)[i], getattr(one, name)
+                assert math.isnan(got) == math.isnan(want) == (e >= 2.0 and name != "period_T")
+                if not math.isnan(want):
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_nan_and_nonpositive_energies_raise(self):
+        spec = BarrierSpec(2.0, 1.0)
+        for E in (math.nan, np.array([1.0, math.nan]), np.array([1.0, 0.0])):
+            for fn in (wave_period, lambda e: phase_time(e, spec),
+                       lambda e: dwell_time(e, spec), lambda e: report(e, spec)):
+                with pytest.raises(ValueError):
+                    fn(E)
