@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 numeric/invariant failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import importlib.resources
 import json
 import math
@@ -44,12 +44,10 @@ def _units(name: str) -> UnitSystem:
     raise CliError(f"unknown units preset: {name}")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _row_format(row) -> str:
+    """One %-format for every row of a table, from the kinds of its first
+    row: text as given, numbers at 17 significant digits (round-trip exact)."""
+    return ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
 
 
 def _parse_sweep(text: str):
@@ -83,20 +81,21 @@ class OutputWriter:
             raise CliError(f"refusing to overwrite existing file {path} (use --force)")
         return path
 
-    def write_csv(self, name: str, header: list, rows: list):
+    def write_csv(self, name: str, header: list, rows):
+        """Write `rows` (a 2-D float array, or lists of numbers and text)."""
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        fmt = _row_format(rows[0]) if rows else ""
+        lines = [fmt % tuple(row) for row in rows]
         if self.format == "json":
             # Tables still land in the summary so a json-only run loses nothing.
             self.outputs[name.removesuffix(".csv")] = {
                 "columns": header,
-                "rows": [[_fmt(v) for v in row] for row in rows],
+                "rows": [line.split(",") for line in lines],
             }
             return None
         path = self._target(name)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            fh.writelines(line + "\n" for line in [",".join(header), *lines])
         self.outputs[name.removesuffix(".csv")] = {"file": name, "columns": header}
         return path
 
@@ -111,18 +110,25 @@ class OutputWriter:
             "outputs": self.outputs,
             "warnings": self.warnings,
         }
-        schema = json.loads(
-            importlib.resources.files("evlab.schemas")
-            .joinpath("summary.schema.json")
-            .read_text()
-        )
-        import jsonschema
-
-        jsonschema.validate(summary, schema)
+        _summary_validator().validate(summary)
+        # NaN and inf are not JSON: a run that produced them fails (exit 1).
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
         # The summary doubles as the run manifest, so it is always written.
         path = self._target(f"{self.command}_summary.json")
-        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        path.write_text(text + "\n")
         return path
+
+
+@functools.cache
+def _summary_validator():
+    """The packaged summary schema, checked against its meta-schema once per
+    process, on the first run that needs it rather than at import."""
+    import jsonschema
+
+    text = importlib.resources.files("evlab.schemas").joinpath("summary.schema.json").read_text()
+    schema = json.loads(text)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
 
 
 def cmd_stationary(args, out: OutputWriter):
@@ -270,10 +276,7 @@ def cmd_propagate(args, out: OutputWriter):
             WavePacket(grid, psi0), U, units.default_mass, args.dt, args.steps,
             units=units, record_every=args.record_every,
         )
-    rows = [
-        [t, f, p]
-        for t, f, p in zip(record.times, record.front_positions, record.peak_positions)
-    ]
+    rows = np.column_stack([record.times, record.front_positions, record.peak_positions])
     out.write_csv("trajectory.csv", ["t", "front_x", "peak_x"], rows)
     if args.snapshots:
         paths = propagate.dump_snapshots_csv(record, out.directory / "snapshots",
@@ -291,14 +294,12 @@ def cmd_tolman(args, out: OutputWriter):
         out.add_result("ordering", tolman.ordering_in_frame(
             a, b, tolman.Boost(args.v_frame), units))
     if args.sweep_d:
-        rows = []
-        for row in tolman.tradeoff_sweep(
-            args.kappa, args.v_signal, args.v_frame,
-            _parse_sweep(args.sweep_d), args.threshold, units,
-        ):
-            rows.append([row["d"], row["advance"], row["amplitude"], row["detectable"]])
+        sweep = tolman.tradeoff_sweep(args.kappa, args.v_signal, args.v_frame,
+                                      _parse_sweep(args.sweep_d), args.threshold, units)
+        rows = [[r["d"], r["advance"], r["amplitude"], "true" if r["detectable"] else "false"]
+                for r in sweep]
         out.write_csv("tradeoff.csv", ["d", "advance", "amplitude", "detectable"], rows)
-        feasible = [r[0] for r in rows if r[1] > 0 and r[3]]
+        feasible = [r["d"] for r in sweep if r["advance"] > 0 and r["detectable"]]
         out.add_result("feasibility_window", {
             "empty": len(feasible) == 0,
             "d_min": min(feasible) if feasible else None,
@@ -306,7 +307,9 @@ def cmd_tolman(args, out: OutputWriter):
         })
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="evlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -44,12 +44,12 @@ class GapSpec:
     gap_d: float
 
     def __post_init__(self):
-        if self.refr_index_n <= 1:
-            raise ValueError("refractive index must exceed 1")
+        if not self.refr_index_n > 1:
+            raise ValueError(f"refractive index must exceed 1, got n={self.refr_index_n}")
         if not 0 < self.incidence_theta < math.pi / 2:
             raise ValueError("incidence angle must lie in (0, pi/2)")
-        if self.gap_d < 0:
-            raise ValueError("gap width must be non-negative")
+        if not self.gap_d >= 0:
+            raise ValueError(f"gap width must be non-negative, got d={self.gap_d}")
         if self.refr_index_n * math.sin(self.incidence_theta) <= 1.0:
             raise NotEvanescentError(
                 "n sin(theta) <= 1: the gap is propagating, not evanescent"
@@ -79,12 +79,13 @@ def gap_decay(
     n: float, theta: float, omega: float, units: UnitSystem = NATURAL_UNITS
 ) -> dict:
     """Evanescent decay data for the gap: alpha, kappa_x, k_parallel."""
-    if np.any(omega <= 0):
+    if not np.all(omega > 0):
         raise ValueError("omega must be positive")
     s = n * math.sin(theta)
-    if s <= 1.0:
+    if not s > 1.0:
         raise NotEvanescentError(
-            f"n sin(theta) = {s} <= 1: propagating gap, not evanescent"
+            f"n sin(theta) = {s} is not above 1 (n={n}, theta={theta}): "
+            "the gap is not evanescent"
         )
     alpha = math.sqrt(s * s - 1.0)
     return {

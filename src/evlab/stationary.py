@@ -31,8 +31,9 @@ class BarrierSpec:
     mass_m: float = 1.0
 
     def __post_init__(self):
-        if self.height_U0 <= 0 or self.width_d <= 0 or self.mass_m <= 0:
-            raise ValueError("U0, d, and m must all be positive")
+        for name, value in (("U0", self.height_U0), ("d", self.width_d), ("m", self.mass_m)):
+            if not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {name}={value}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def threshold_solution(
 def _slab_system(k_out, kappa, d):
     """Check the inputs; return q = e^{-kappa d}, s = 1 - q^2, p = kappa + ik,
     m = kappa - ik and det = m^2 - (p q)^2 = -4ik kappa + p^2 s (no cancellation)."""
-    if np.any(k_out <= 0) or np.any(kappa <= 0) or np.any(d <= 0):
+    if not (np.all(k_out > 0) and np.all(kappa > 0) and np.all(d > 0)):
         raise ValueError("k_out, kappa, and d must be positive")
     q = np.exp(-kappa * d)
     s = -np.expm1(-2.0 * kappa * d)

@@ -34,7 +34,7 @@ class Boost:
 
     def gamma(self, units: UnitSystem = NATURAL_UNITS) -> float:
         beta = self.V / units.c
-        if abs(beta) >= 1.0:
+        if not abs(beta) < 1.0:
             raise ValueError(f"|V| = {abs(self.V)} must be below c = {units.c}")
         return 1.0 / math.sqrt(1.0 - beta * beta)
 
@@ -163,9 +163,9 @@ def tradeoff_sweep(
     the loop closes (advance > 0) *and* the attenuated signal still clears
     the detector threshold.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
-    if v_signal <= units.c:
+    if not v_signal > units.c:
         raise ValueError("v_signal must exceed c")
     if not 0 < detector_threshold <= 1:
         raise ValueError("detector_threshold must lie in (0, 1]")
@@ -174,7 +174,7 @@ def tradeoff_sweep(
         raise ValueError("empty d_range")
     rows = []
     for d in d_range:
-        if d <= 0:
+        if not d > 0:
             raise ValueError("barrier widths must be positive")
         result = round_trip(
             SignalLeg(speed=v_signal, emit=Event(0.0, 0.0),

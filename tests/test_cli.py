@@ -1,12 +1,21 @@
 """Tests for the command-line front end."""
 
+import argparse
 import csv
+import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
 
-from evlab import stationary, ttime
+import evlab
+from evlab import cli, stationary, ttime
 from evlab.cli import run
 from test_ttime import buttiker_dwell_time, buttiker_phase_time
 
@@ -47,6 +56,26 @@ class TestExitCodes:
     ])
     def test_numeric_error_is_1(self, tmp_path, monkeypatch, argv):
         assert invoke(argv, tmp_path, monkeypatch) == 1
+
+    @pytest.mark.parametrize("argv, named", [
+        (["stationary", "--u0", "2", "--d", "nan", "--e", "1"], "d=nan"),
+        (["ttime", "--u0", "nan", "--e", "0.5"], "U0=nan"),
+        (["ftir", "--gap-d", "nan"], "d=nan"),
+        (["ftir", "--n", "nan", "--report-alpha"], "n=nan"),
+        (["tolman", "--v-frame", "nan", "--dx-over-dt", "2"], "|V| = nan"),
+    ])
+    def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
+        assert invoke(argv, tmp_path, monkeypatch) == 1
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_summary.json"))
+
+    def test_nan_result_never_reaches_summary(self, tmp_path):
+        out = cli.OutputWriter(argparse.Namespace(
+            output_dir=str(tmp_path), format="both", force=False, command="x"))
+        out.add_result("value", math.nan)
+        with pytest.raises(ValueError):
+            out.finish()
+        assert not (tmp_path / "x_summary.json").exists()
 
     def test_success_is_0(self, tmp_path, monkeypatch):
         code = invoke(["stationary", "--u0", "2.0", "--e", "1.0"],
@@ -261,3 +290,72 @@ class TestSubcommands:
         assert (tmp_path / "tradeoff.csv").exists()
         window = summary["outputs"]["feasibility_window"]
         assert window["empty"] in (True, False)
+
+
+def fresh_process_outputs(deck, tmp_path):
+    """Files written by each run of `deck`, each run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evlab.__file__).parents[1]))
+    env.pop("EVLAB_OUTPUT_DIR", None)
+    dirs = [tmp_path / f"fresh_{i}" for i in range(len(deck))]
+    children = [
+        subprocess.Popen([sys.executable, "-m", "evlab.cli", *argv, "--output-dir", str(d)],
+                         env=env, stdout=subprocess.DEVNULL)
+        for argv, d in zip(deck, dirs)
+    ]
+    assert [child.wait(timeout=120) for child in children] == [0] * len(deck)
+    return [{p.name: p.read_bytes() for p in d.iterdir()} for d in dirs]
+
+
+class TestCachedState:
+    def test_repeated_runs_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
+        deck = [
+            ["stationary", "--u0", "2", "--d", "1", "--sweep-e", "0.2:1.8:7"],
+            ["stationary", "--u0", "2", "--e", "1", "--format", "json"],
+            ["ttime", "--u0", "2", "--sweep-e", "0.5:1.5:5"],
+            ["tolman", "--dx-over-dt", "2", "--sweep-d", "0.5:3:6"],
+        ]
+        fresh = fresh_process_outputs(deck, tmp_path)
+        # The first run again, after the others, catches state left behind.
+        for i, argv in enumerate([*deck, deck[0]]):
+            here = tmp_path / f"in_process_{i}"
+            assert invoke([*argv, "--output-dir", str(here)], tmp_path, monkeypatch) == 0
+            assert {p.name: p.read_bytes() for p in here.iterdir()} == fresh[i % len(deck)]
+
+    def test_packaged_schema_is_valid_2020_12(self):
+        text = importlib.resources.files("evlab.schemas").joinpath("summary.schema.json").read_text()
+        jsonschema.Draft202012Validator.check_schema(json.loads(text))
+
+    def test_cached_validator_rejects_non_string_warning(self):
+        summary = {"command": "x", "inputs": {}, "outputs": {}, "warnings": [1]}
+        with pytest.raises(jsonschema.ValidationError):
+            cli._summary_validator().validate(summary)
+
+
+class TestRowFormat:
+    def write(self, tmp_path, rows, fmt):
+        out = cli.OutputWriter(argparse.Namespace(
+            output_dir=str(tmp_path), format=fmt, force=True, command="x"))
+        out.write_csv("table.csv", ["a", "b", "c", "d"], rows)
+        return out.outputs["table"]
+
+    def test_floats_match_17_digit_repr(self, tmp_path):
+        rng = np.random.default_rng(7)
+        random = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-320, 308, 100_000)
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 3.0, 1e16]
+        values = np.concatenate([special, random]).reshape(-1, 4)
+        expected = [[f"{float(x):.17g}" for x in row] for row in values]
+        self.write(tmp_path, values, "csv")
+        lines = (tmp_path / "table.csv").read_text().split("\n")
+        assert lines[0] == "a,b,c,d" and lines[-1] == ""
+        assert [line.split(",") for line in lines[1:-1]] == expected
+        assert self.write(tmp_path, values, "json")["rows"] == expected
+
+    def test_text_column_as_given(self, tmp_path):
+        # tolman's tradeoff rows: three floats and the detectable flag.
+        rows = [[0.5, -0.1875, math.exp(-1.0), "true"], [3.0, 0.1, 5e-324, "false"]]
+        expected = [["0.5", "-0.1875", "0.36787944117144233", "true"],
+                    ["3", "0.10000000000000001", "4.9406564584124654e-324", "false"]]
+        self.write(tmp_path, rows, "csv")
+        text = (tmp_path / "table.csv").read_text()
+        assert text == "a,b,c,d\n" + "".join(",".join(r) + "\n" for r in expected)
+        assert self.write(tmp_path, rows, "json")["rows"] == expected
