@@ -74,6 +74,9 @@ class OutputWriter:
         self.inputs = {}
         self.outputs = {}
         self.warnings = []
+        # The summary doubles as the run manifest, so every run writes it; a
+        # run that would overwrite it is refused before it writes anything.
+        self.summary_path = self._target(f"{self.command}_summary.json")
 
     def _target(self, name: str) -> Path:
         path = self.directory / name
@@ -113,10 +116,8 @@ class OutputWriter:
         _summary_validator().validate(summary)
         # NaN and inf are not JSON: a run that produced them fails (exit 1).
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        # The summary doubles as the run manifest, so it is always written.
-        path = self._target(f"{self.command}_summary.json")
-        path.write_text(text + "\n")
-        return path
+        self.summary_path.write_text(text + "\n")
+        return self.summary_path
 
 
 @functools.cache
@@ -251,37 +252,32 @@ def cmd_propagate(args, out: OutputWriter):
     x = grid.points()
     out.inputs.update({"mode": args.mode, "grid_n": args.grid_n, "dx": args.dx,
                        "steps": args.steps})
+    snapshot_dir = out._target("snapshots") if args.snapshots else None  # refused before the run
+    # k_c in wave mode; U in Schrodinger mode, where a negative value is a well.
+    inside = (x >= args.barrier_start) & (x <= args.barrier_start + args.barrier_width)
+    barrier = np.where(inside, args.barrier_kc, 0.0)
     if args.mode == "wave":
-        kc = np.zeros(grid.count)
-        if args.barrier_kc > 0:
-            kc[(x >= args.barrier_start) & (x <= args.barrier_start + args.barrier_width)] = args.barrier_kc
-        profile = propagate.MediumProfile(grid, kc)
-        envelope = np.exp(-((x - args.pulse_center) ** 2) / (2.0 * args.pulse_width**2))
-        psi0 = envelope * np.cos(args.pulse_k0 * (x - args.pulse_center))
+        profile = propagate.MediumProfile(grid, barrier)
+        pulse = lambda s: np.exp(-((s - args.pulse_center) ** 2) / (2.0 * args.pulse_width**2)) \
+            * np.cos(args.pulse_k0 * (s - args.pulse_center))
         shift = units.c * args.courant * grid.dx / units.c  # one step back
-        prev = np.exp(-((x + shift - args.pulse_center) ** 2) / (2.0 * args.pulse_width**2)) \
-            * np.cos(args.pulse_k0 * (x + shift - args.pulse_center))
         record = propagate.evolve_wave(
-            WavePacket(grid, psi0), profile, args.courant, args.steps,
-            initial_prev=prev, units=units, record_every=args.record_every,
+            WavePacket(grid, pulse(x)), profile, args.courant, args.steps,
+            initial_prev=pulse(x + shift), units=units, record_every=args.record_every,
         )
     else:
-        U = np.zeros(grid.count)
-        if args.barrier_kc > 0:
-            U[(x >= args.barrier_start) & (x <= args.barrier_start + args.barrier_width)] = args.barrier_kc
         psi0 = np.exp(-((x - args.pulse_center) ** 2) / (4.0 * args.pulse_width**2)
                       + 1j * args.pulse_k0 * x)
         psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
         record = propagate.evolve_schrodinger(
-            WavePacket(grid, psi0), U, units.default_mass, args.dt, args.steps,
+            WavePacket(grid, psi0), barrier, units.default_mass, args.dt, args.steps,
             units=units, record_every=args.record_every,
         )
+    if args.snapshots:
+        paths = propagate.dump_snapshots_csv(record, snapshot_dir, stride=args.snapshot_stride)
+        out.add_result("snapshots", [p.name for p in paths])
     rows = np.column_stack([record.times, record.front_positions, record.peak_positions])
     out.write_csv("trajectory.csv", ["t", "front_x", "peak_x"], rows)
-    if args.snapshots:
-        paths = propagate.dump_snapshots_csv(record, out.directory / "snapshots",
-                                             stride=args.snapshot_stride)
-        out.add_result("snapshots", [str(p.name) for p in paths])
 
 
 def cmd_tolman(args, out: OutputWriter):

@@ -81,6 +81,8 @@ def gap_decay(
     """Evanescent decay data for the gap: alpha, kappa_x, k_parallel."""
     if not np.all(omega > 0):
         raise ValueError("omega must be positive")
+    if not 0 < theta < math.pi / 2:
+        raise ValueError(f"incidence angle must lie in (0, pi/2), got theta={theta}")
     s = n * math.sin(theta)
     if not s > 1.0:
         raise NotEvanescentError(

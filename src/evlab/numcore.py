@@ -53,8 +53,8 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not self.dx > 0:
+            raise ValueError(f"dx must be positive, got dx={self.dx}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
 

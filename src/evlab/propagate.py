@@ -17,7 +17,6 @@ Two solvers live here on purpose:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,8 @@ class BoundaryContactError(RuntimeError):
 
 
 class NormDriftError(RuntimeError):
-    """Norm drift exceeded tolerance (step size too large)."""
+    """Norm drift exceeded tolerance. The Strang step is unitary at any dt
+    (unit-modulus phases), so drift means roundoff or non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class MediumProfile:
         kc = np.asarray(self.cutoff_kc, dtype=float)
         if kc.shape != (self.grid.count,):
             raise ValueError("cutoff_kc length must match grid count")
-        if np.any(kc < 0):
-            raise ValueError("cutoff_kc must be non-negative")
+        if not np.all(kc >= 0):
+            raise ValueError(f"cutoff_kc must be non-negative, got {kc[~(kc >= 0)][0]}")
         kc.setflags(write=False)
         object.__setattr__(self, "cutoff_kc", kc)
 
@@ -104,6 +104,29 @@ def _measure(grid: Grid1D, values: np.ndarray, epsilon: float):
     except ValueError:
         fp = math.nan
     return wp, fp, peak_position(wp)
+
+
+def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields):
+    """Record step 0, every record_every-th step and the last of `fields`
+    (the field at steps 0, 1, ..., steps) at times n*dt: one WavePacket copy
+    each, with its front (at 1e-10 of the initial peak |psi|) and peak."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    psi0 = next(fields)
+    amp0 = np.abs(psi0).max()
+    if not 0 < amp0 < math.inf:
+        raise ValueError(f"initial field must be finite and non-zero, got max |psi| = {amp0}")
+    epsilon = 1e-10 * amp0
+    kept, measured = [0], [_measure(grid, psi0.copy(), epsilon)]
+    for n, psi in enumerate(fields, start=1):
+        if n % record_every == 0 or n == steps:
+            kept.append(n)
+            measured.append(_measure(grid, psi.copy(), epsilon))
+    snapshots, fronts, peaks = zip(*measured)
+    return PropagationRecord(
+        times=np.asarray(kept) * dt, snapshots=list(snapshots),
+        front_positions=np.asarray(fronts), peak_positions=np.asarray(peaks),
+    )
 
 
 def discrete_energy(
@@ -163,11 +186,7 @@ def evolve_wave(
     mass_weight = 1.0 + 0.5 * kc2dt2
     c2 = courant**2
     psi0 = np.asarray(initial.values, dtype=complex)
-    amp0 = np.abs(psi0).max()
-    if amp0 == 0:
-        raise ValueError("zero initial data")
-    front_epsilon = 1e-10 * amp0
-    edge_limit = 1e-12 * amp0
+    edge_limit = 1e-12 * np.abs(psi0).max()
 
     def lap(f):
         out = np.zeros_like(f)
@@ -175,35 +194,25 @@ def evolve_wave(
         return out
 
     if initial_prev is not None:
-        prev = np.asarray(initial_prev, dtype=complex).copy()
+        prev = np.asarray(initial_prev, dtype=complex)
     else:
         v = np.asarray(initial_velocity, dtype=complex)
         # Second-order Taylor start run backwards to get the t = -dt level.
         prev = psi0 - dt * v + 0.5 * (c2 * lap(psi0) - kc2dt2 * psi0)
 
-    curr = psi0.copy()
-    times = [0.0]
-    wp, fp, pp = _measure(grid, curr.copy(), front_epsilon)
-    snapshots, fronts, peaks = [wp], [fp], [pp]
-    for n in range(1, steps + 1):
-        nxt = (2.0 * curr + c2 * lap(curr)) / mass_weight - prev
-        prev, curr = curr, nxt
-        # The stencil leaves the outermost cells untouched; the cells next to
-        # them are the first to feel an arriving front.
-        if abs(curr[1]) > edge_limit or abs(curr[-2]) > edge_limit:
-            raise BoundaryContactError(
-                f"support reached the grid boundary at step {n}; enlarge the grid"
-            )
-        if n % record_every == 0 or n == steps:
-            times.append(n * dt)
-            wp, fp, pp = _measure(grid, curr.copy(), front_epsilon)
-            snapshots.append(wp)
-            fronts.append(fp)
-            peaks.append(pp)
-    return PropagationRecord(
-        times=np.asarray(times), snapshots=snapshots,
-        front_positions=np.asarray(fronts), peak_positions=np.asarray(peaks),
-    )
+    def fields(prev, curr):
+        yield curr
+        for n in range(1, steps + 1):
+            prev, curr = curr, (2.0 * curr + c2 * lap(curr)) / mass_weight - prev
+            # The stencil leaves the outermost cells untouched; the cells next
+            # to them are the first to feel an arriving front.
+            if abs(curr[1]) > edge_limit or abs(curr[-2]) > edge_limit:
+                raise BoundaryContactError(
+                    f"support reached the grid boundary at step {n}; enlarge the grid"
+                )
+            yield curr
+
+    return _recorded(grid, dt, steps, record_every, fields(prev, psi0))
 
 
 def evolve_schrodinger(
@@ -217,44 +226,35 @@ def evolve_schrodinger(
     norm_tol: float = 1e-8,
 ) -> PropagationRecord:
     """Split-step (Strang) spectral evolution of the Schrodinger equation."""
-    if mass <= 0 or dt <= 0 or steps < 1:
-        raise ValueError("mass, dt, and steps must be positive")
+    if not (0 < mass < math.inf and 0 < dt < math.inf) or steps < 1:
+        raise ValueError(f"mass, dt and steps must be positive, got {mass=}, {dt=}, {steps=}")
     grid = initial.grid
     U = np.asarray(potential_U, dtype=float)
     if U.shape != (grid.count,):
         raise ValueError("potential length must match grid count")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("potential must be finite")
     hbar = units.hbar
     k = 2.0 * math.pi * np.fft.fftfreq(grid.count, grid.dx)
     exp_V_half = np.exp(-0.5j * U * dt / hbar)
     exp_K = np.exp(-0.5j * hbar * k**2 * dt / mass)
-    psi = np.asarray(initial.values, dtype=complex).copy()
-    norm0 = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-    if norm0 == 0:
-        raise ValueError("zero initial state")
-    eps = 1e-10 * np.abs(psi).max()
 
-    times = [0.0]
-    wp, fp, pp = _measure(grid, psi.copy(), eps)
-    snapshots, fronts, peaks = [wp], [fp], [pp]
-    for n in range(1, steps + 1):
-        psi = exp_V_half * psi
-        psi = np.fft.ifft(exp_K * np.fft.fft(psi))
-        psi = exp_V_half * psi
-        if n % record_every == 0 or n == steps:
-            norm = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
-            if abs(norm - norm0) / norm0 > norm_tol:
-                raise NormDriftError(
-                    f"norm drifted by {abs(norm - norm0) / norm0:.3e} at step {n}"
-                )
-            times.append(n * dt)
-            wp, fp, pp = _measure(grid, psi.copy(), eps)
-            snapshots.append(wp)
-            fronts.append(fp)
-            peaks.append(pp)
-    return PropagationRecord(
-        times=np.asarray(times), snapshots=snapshots,
-        front_positions=np.asarray(fronts), peak_positions=np.asarray(peaks),
-    )
+    def fields(psi):
+        yield psi
+        for _ in range(steps):
+            psi = exp_V_half * np.fft.ifft(exp_K * np.fft.fft(exp_V_half * psi))
+            yield psi
+
+    record = _recorded(grid, dt, steps, record_every,
+                       fields(np.asarray(initial.values, dtype=complex)))
+    # Drift is checked on the recorded snapshots: the steps do no extra work.
+    norm0, *norms = [np.sqrt(np.sum(np.abs(wp.values) ** 2) * grid.dx)
+                     for wp in record.snapshots]
+    for t, norm in zip(record.times[1:], norms):
+        drift = abs(norm - norm0) / norm0
+        if not drift <= norm_tol:
+            raise NormDriftError(f"norm drifted by {drift:.3e} at step {round(t / dt)}")
+    return record
 
 
 def peak_speed(record: PropagationRecord) -> float:
@@ -271,20 +271,16 @@ def peak_speed(record: PropagationRecord) -> float:
 def dump_snapshots_csv(
     record: PropagationRecord, directory, stride: int = 1
 ) -> list:
-    """Write each stride-th snapshot as CSV (columns x, re, im, abs2)."""
+    """Write each stride-th snapshot as CSV: x, re, im and WavePacket.abs2(), %.17g."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for idx in range(0, len(record.snapshots), stride):
         wp = record.snapshots[idx]
+        rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
         path = directory / f"snapshot_{idx:05d}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "re", "im", "abs2"])
-            for x, v in zip(wp.grid.points(), wp.values):
-                writer.writerow(
-                    [f"{x:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}",
-                     f"{abs(v) ** 2:.17g}"]
-                )
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,re,im,abs2", comments="")
         paths.append(path)
     return paths

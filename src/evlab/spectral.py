@@ -34,8 +34,8 @@ class BoxState:
     width_a: float
 
     def __post_init__(self):
-        if self.width_a <= 0:
-            raise ValueError("box width must be positive")
+        if not self.width_a > 0:
+            raise ValueError(f"box width must be positive, got a={self.width_a}")
 
     @property
     def k_a(self) -> float:
@@ -58,8 +58,8 @@ class LineShape:
     gamma0: float
 
     def __post_init__(self):
-        if self.omega0 <= 0 or self.gamma0 <= 0:
-            raise ValueError("omega0 and gamma0 must be positive")
+        if not (self.omega0 > 0 and self.gamma0 > 0):
+            raise ValueError(f"omega0 and gamma0 must be positive, got {self}")
 
 
 def box_spectrum(k, a: float):
@@ -70,8 +70,8 @@ def box_spectrum(k, a: float):
     expansion inside a guard band, where direct evaluation loses all
     precision.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not a > 0:
+        raise ValueError(f"a must be positive, got a={a}")
     k = np.asarray(k, dtype=float)
     u = np.abs(a * k)  # F is even in k
     denom = math.pi**2 - u**2
@@ -129,8 +129,10 @@ def tail_probability(k_prime: float, a: float) -> dict:
     quadrature route is authoritative and the discrepancy is surfaced, not
     hidden.
     """
+    if not a > 0:
+        raise ValueError(f"a must be positive, got a={a}")
     k_a = math.pi / a
-    if k_prime <= k_a:
+    if not k_prime > k_a:
         raise ValueError(
             f"k_prime={k_prime} must exceed k_a={k_a}: the asymptotic regime "
             "requires k' >> pi/a"
@@ -150,8 +152,8 @@ def box_moments(a: float) -> dict:
     x-representation quadrature; disagreement beyond tolerance raises, so a
     silent regression in either route cannot pass unnoticed.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not a > 0:
+        raise ValueError(f"a must be positive, got a={a}")
     k_a = math.pi / a
     delta_x_closed = a * math.sqrt((1.0 / 12.0) * (1.0 - 6.0 / math.pi**2))
     box = BoxState(a)
@@ -191,8 +193,8 @@ def lorentzian_norm(line: LineShape) -> float:
 def released_energy_spread(a: float, units: UnitSystem = NATURAL_UNITS) -> dict:
     """Mean energy and energy indeterminacy of a photon released from a
     resonator of length a: both equal hbar omega_a = pi hbar c / a."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not a > 0:
+        raise ValueError(f"a must be positive, got a={a}")
     omega_a = units.c * math.pi / a
     return {
         "omega_a": omega_a,
@@ -211,8 +213,8 @@ def gaussian_band_report(
     delta_omega is recomputed by moment quadrature rather than echoed from
     the parameter, so the report is a measurement, not a restatement.
     """
-    if omega0 <= 0 or sigma <= 0:
-        raise ValueError("omega0 and sigma must be positive")
+    if not (omega0 > 0 and sigma > 0):
+        raise ValueError(f"omega0 and sigma must be positive, got omega0={omega0}, sigma={sigma}")
     # In u = (omega - omega0) / sigma the integrals are O(1), so the
     # tol max(1, |I|) contract stays relative at any sigma and omega0.
     density = lambda u: np.exp(-0.5 * u * u)

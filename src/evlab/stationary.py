@@ -204,7 +204,7 @@ def relativistic_wavenumber(
     Principal branch: k is purely imaginary (evanescent) exactly when
     |E - U0| < m0 c^2.
     """
-    if m0 < 0:
-        raise ValueError("rest mass must be non-negative")
+    if not m0 >= 0:
+        raise ValueError(f"rest mass must be non-negative, got m0={m0}")
     hbar, c = units.hbar, units.c
     return principal_sqrt((E - U0) ** 2 - (m0 * c**2) ** 2) / (hbar * c)

@@ -63,6 +63,20 @@ class TestExitCodes:
         (["ftir", "--gap-d", "nan"], "d=nan"),
         (["ftir", "--n", "nan", "--report-alpha"], "n=nan"),
         (["tolman", "--v-frame", "nan", "--dx-over-dt", "2"], "|V| = nan"),
+        (["propagate", "--dx", "nan"], "dx=nan"),
+        (["propagate", "--pulse-width", "nan"], "initial field"),
+        (["propagate", "--mode", "schrodinger", "--dt", "nan"], "dt=nan"),
+        (["propagate", "--mode", "schrodinger", "--barrier-kc", "nan"], "potential"),
+        (["propagate", "--barrier-kc", "nan"], "cutoff_kc"),
+        (["propagate", "--barrier-kc", "-2"], "cutoff_kc"),
+        (["propagate", "--record-every", "0"], "record_every"),
+        (["propagate", "--steps", "10", "--snapshots", "--snapshot-stride", "0"], "stride"),
+        (["ftir", "--theta-deg", "100", "--report-alpha"], "theta="),
+        (["spectrum", "--a", "nan"], "positive, got a=nan"),
+        (["spectrum", "--tail-akprime", "nan"], "k_prime=nan"),
+        (["spectrum", "--lorentz", "nan", "0.1"], "omega0=nan"),
+        (["spectrum", "--gauss", "nan", "0.5"], "omega0=nan"),
+        (["stationary", "--u0", "2", "--e", "1", "--m0", "nan"], "m0=nan"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -147,6 +161,21 @@ class TestOutputs:
         assert invoke(args, tmp_path, monkeypatch) == 0
         assert invoke(args, tmp_path, monkeypatch) == 2
         assert invoke(args + ["--force"], tmp_path, monkeypatch) == 0
+
+    def test_refused_rerun_writes_nothing(self, tmp_path, monkeypatch):
+        args = ["propagate", "--steps", "40", "--record-every", "20", "--snapshots",
+                "--format", "json"]
+        assert invoke(args, tmp_path, monkeypatch) == 0
+        snaps = sorted((tmp_path / "snapshots").glob("snapshot_*.csv"))
+        assert len(snaps) == 3
+        for snap in snaps:
+            snap.write_bytes(b"kept\n")
+        # Refused at the summary, and without it at the snapshot directory.
+        assert invoke(args, tmp_path, monkeypatch) == 2
+        (tmp_path / "propagate_summary.json").unlink()
+        assert invoke(args, tmp_path, monkeypatch) == 2
+        assert [snap.read_bytes() for snap in snaps] == [b"kept\n"] * 3
+        assert not (tmp_path / "propagate_summary.json").exists()
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "elsewhere"

@@ -63,6 +63,12 @@ class TestGapDecay:
         assert decay["alpha"] == pytest.approx(math.sqrt(0.125), abs=1e-12)
         assert decay["alpha"] == pytest.approx(0.3535534, abs=1e-7)
 
+    @pytest.mark.parametrize("theta_deg", [0.0, 90.0, 100.0, -30.0, math.nan])
+    def test_angle_outside_first_quadrant_rejected(self, theta_deg):
+        # At 100 degrees n sin(theta) = 1.477 would pass the evanescence test.
+        with pytest.raises(ValueError, match="incidence angle"):
+            gap_decay(1.5, math.radians(theta_deg), 1.0)
+
     def test_kappa_scales_linearly_with_omega(self):
         d1 = gap_decay(1.5, math.pi / 4.0, 1.0)
         d2 = gap_decay(1.5, math.pi / 4.0, 3.0)

@@ -218,7 +218,107 @@ class TestSchrodingerSolver:
             evolve_schrodinger(wp, np.zeros(32), 1.0, 0.01, 10)
 
 
+def schrodinger_run(steps=50, record_every=1, norm_tol=1e-8):
+    grid = Grid1D(-25.6, 0.1, 512)
+    x = grid.points()
+    psi0 = np.exp(-((x + 5.0) ** 2) / 4.0 + 2j * x)
+    psi0 /= math.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
+    U = np.where((x >= 0.0) & (x <= 1.0), 3.0, 0.0)
+    return evolve_schrodinger(WavePacket(grid, psi0), U, 1.0, dt=0.01, steps=steps,
+                              record_every=record_every, norm_tol=norm_tol)
+
+
+RUNS = {
+    "wave": lambda steps, every: make_run(kc_val=3.0, steps=steps, record_every=every)[1],
+    "schrodinger": lambda steps, every: schrodinger_run(steps, every),
+}
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("solver", sorted(RUNS))
+    @pytest.mark.parametrize("every", [3, 7])
+    def test_sparse_record_is_dense_record_subsampled(self, solver, every):
+        steps = 50  # a multiple of neither 3 nor 7: the last step is recorded too
+        dense, sparse = RUNS[solver](steps, 1), RUNS[solver](steps, every)
+        kept = [*range(0, steps + 1, every), steps]
+        np.testing.assert_array_equal(sparse.times, dense.times[kept])
+        np.testing.assert_array_equal(sparse.front_positions, dense.front_positions[kept])
+        np.testing.assert_array_equal(sparse.peak_positions, dense.peak_positions[kept])
+        assert len(sparse.snapshots) == len(kept)
+        for wp, n in zip(sparse.snapshots, kept):
+            np.testing.assert_array_equal(wp.values, dense.snapshots[n].values)
+
+    @pytest.mark.parametrize("solver", sorted(RUNS))
+    def test_front_and_peak_are_measured_on_each_snapshot(self, solver):
+        record = RUNS[solver](60, 5)
+        epsilon = 1e-10 * np.abs(record.snapshots[0].values).max()
+        for wp, front, peak in zip(record.snapshots, record.front_positions,
+                                   record.peak_positions):
+            try:
+                expected = front_position(wp, epsilon)
+            except ValueError:
+                expected = math.nan
+            np.testing.assert_array_equal(front, expected)
+            assert peak == peak_position(wp)
+
+    def test_norm_drift_names_first_recorded_step_over_tolerance(self):
+        record = schrodinger_run(steps=40, record_every=4)
+        norms = [math.sqrt(wp.energy()) for wp in record.snapshots]
+        drifts = [abs(n - norms[0]) / norms[0] for n in norms]
+        assert max(drifts) > 0.0  # roundoff
+        tol = 0.5 * max(drifts)
+        first = next(i for i, d in enumerate(drifts) if d > tol)
+        with pytest.raises(NormDriftError, match=rf"at step {4 * first}$"):
+            schrodinger_run(steps=40, record_every=4, norm_tol=tol)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"mass": math.nan}, "mass=nan"), ({"dt": math.nan}, "dt=nan"),
+        ({"U": math.nan}, "potential"), ({"psi0": math.nan}, "initial field"),
+    ])
+    def test_nan_inputs_rejected(self, kwargs, named):
+        grid = Grid1D(-5.0, 0.1, 64)
+        psi0 = np.full(64, kwargs.get("psi0", 1.0), dtype=complex)
+        with pytest.raises(ValueError, match=named):
+            evolve_schrodinger(WavePacket(grid, psi0), np.full(64, kwargs.get("U", 0.0)),
+                               kwargs.get("mass", 1.0), kwargs.get("dt", 0.01), 10)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_record_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match="record_every"):
+            make_run(steps=10, record_every=every)
+        with pytest.raises(ValueError, match="record_every"):
+            schrodinger_run(steps=10, record_every=every)
+
+    def test_zero_initial_field_rejected(self):
+        grid = Grid1D(-5.0, 0.1, 64)
+        wp = WavePacket(grid, np.zeros(64))
+        with pytest.raises(ValueError, match="initial field"):
+            evolve_wave(wp, MediumProfile(grid, np.zeros(64)), 1.0, 10,
+                        initial_velocity=np.zeros(64))
+        with pytest.raises(ValueError, match="initial field"):
+            evolve_schrodinger(wp, np.zeros(64), 1.0, 0.01, 10)
+
+
 class TestSnapshotDump:
+    def test_values_parse_back_exactly(self, tmp_path):
+        grid, record = make_run(kc_val=3.0, steps=30, record_every=10)
+        paths = dump_snapshots_csv(record, tmp_path)
+        assert [p.name for p in paths] == [f"snapshot_{i:05d}.csv" for i in range(4)]
+        for path, wp in zip(paths, record.snapshots):
+            lines = path.read_text().split("\n")
+            assert lines[0] == "x,re,im,abs2" and lines[-1] == ""
+            table = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+            np.testing.assert_array_equal(table[:, 0], grid.points())
+            np.testing.assert_array_equal(table[:, 1], wp.values.real)
+            np.testing.assert_array_equal(table[:, 2], wp.values.imag)
+            np.testing.assert_array_equal(table[:, 3], wp.abs2())
+
+    def test_stride_below_one_rejected(self, tmp_path):
+        grid, record = make_run(steps=10, record_every=10)
+        with pytest.raises(ValueError, match="stride"):
+            dump_snapshots_csv(record, tmp_path, stride=0)
+        assert not list(tmp_path.iterdir())
+
     def test_csv_roundtrip(self, tmp_path):
         grid, record = make_run(steps=20, record_every=10)
         paths = dump_snapshots_csv(record, tmp_path, stride=2)

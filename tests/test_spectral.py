@@ -143,6 +143,12 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability(1.0, 1.0)
 
+    @pytest.mark.parametrize("k_prime, a", [(700.0, 0.0), (700.0, -1.0), (700.0, math.nan),
+                                            (math.nan, 1.0)])
+    def test_bad_inputs_named(self, k_prime, a):
+        with pytest.raises(ValueError, match="positive, got a=|k_prime=nan must exceed"):
+            tail_probability(k_prime, a)
+
 
 class TestLorentzian:
     def test_normalization(self):
