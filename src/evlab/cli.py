@@ -248,6 +248,14 @@ def cmd_ftir(args, out: OutputWriter):
 
 def cmd_propagate(args, out: OutputWriter):
     units = _units(args.units)
+    # Checked before any arithmetic: NaN fails the barrier mask's comparisons
+    # silently, and a zero width divides by zero.
+    for name in ("pulse_center", "pulse_k0", "barrier_start", "barrier_width"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, got {name}={getattr(args, name)}")
+    if not 0 < args.pulse_width < math.inf:
+        raise ValueError("initial field needs a positive, finite pulse width, "
+                         f"got pulse_width={args.pulse_width}")
     grid = Grid1D(args.x_min, args.dx, args.grid_n)
     x = grid.points()
     out.inputs.update({"mode": args.mode, "grid_n": args.grid_n, "dx": args.dx,
@@ -274,6 +282,10 @@ def cmd_propagate(args, out: OutputWriter):
             units=units, record_every=args.record_every,
         )
     if args.snapshots:
+        # Under --force the run replaces an earlier run's snapshots, not only
+        # the files it rewrites.
+        for stale in snapshot_dir.glob("snapshot_*.csv"):
+            stale.unlink()
         paths = propagate.dump_snapshots_csv(record, snapshot_dir, stride=args.snapshot_stride)
         out.add_result("snapshots", [p.name for p in paths])
     rows = np.column_stack([record.times, record.front_positions, record.peak_positions])

@@ -53,8 +53,10 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if not self.dx > 0:
-            raise ValueError(f"dx must be positive, got dx={self.dx}")
+        if not math.isfinite(self.x_min):
+            raise ValueError(f"x_min must be finite, got x_min={self.x_min}")
+        if not 0 < self.dx < math.inf:
+            raise ValueError(f"dx must be positive and finite, got dx={self.dx}")
         if self.count < 2:
             raise ValueError("count must be at least 2")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
 
@@ -63,53 +64,62 @@ class PropagationRecord:
     peak_positions: np.ndarray
 
 
-def front_position(packet: WavePacket, epsilon: float) -> float:
-    """Rightmost x where |psi| >= epsilon, linearly interpolated."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    amp = np.abs(packet.values)
+def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
     above = np.nonzero(amp >= epsilon)[0]
     if len(above) == 0:
         raise ValueError("no sample reaches the threshold")
     i = above[-1]
-    x = packet.grid.points()
-    if i == packet.grid.count - 1:
-        return float(x[i])
+    x = grid.x_min + grid.dx * i  # bitwise grid.points()[i]
+    if i == grid.count - 1:
+        return float(x)
     # Interpolate the downward crossing of the threshold to the right of i.
     a0, a1 = amp[i], amp[i + 1]
     frac = (a0 - epsilon) / (a0 - a1) if a0 > a1 else 0.0
-    return float(x[i] + frac * packet.grid.dx)
+    return float(x + frac * grid.dx)
+
+
+def _peak(grid: Grid1D, dens: np.ndarray) -> float:
+    if not np.any(dens > 0):
+        raise ValueError("zero packet has no peak")
+    i = int(np.argmax(dens))
+    x = grid.x_min + grid.dx * i
+    if i == 0 or i == grid.count - 1:
+        return float(x)
+    y0, y1, y2 = dens[i - 1], dens[i], dens[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom == 0.0:
+        return float(x)
+    return float(x + 0.5 * (y0 - y2) / denom * grid.dx)
+
+
+def front_position(packet: WavePacket, epsilon: float) -> float:
+    """Rightmost x where |psi| >= epsilon, linearly interpolated."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    return _front(packet.grid, np.abs(packet.values), epsilon)
 
 
 def peak_position(packet: WavePacket) -> float:
     """Position of the global |psi|^2 maximum with quadratic refinement."""
-    dens = packet.abs2()
-    if not np.any(dens > 0):
-        raise ValueError("zero packet has no peak")
-    i = int(np.argmax(dens))
-    x = packet.grid.points()
-    if i == 0 or i == packet.grid.count - 1:
-        return float(x[i])
-    y0, y1, y2 = dens[i - 1], dens[i], dens[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(x[i])
-    return float(x[i] + 0.5 * (y0 - y2) / denom * packet.grid.dx)
+    return _peak(packet.grid, packet.abs2())
 
 
 def _measure(grid: Grid1D, values: np.ndarray, epsilon: float):
-    wp = WavePacket(grid, values)
+    # One |psi| of the field as stepped (|x| is bitwise |x + 0j|), whose square
+    # is bitwise WavePacket.abs2(), and one complex copy.
+    amp = np.abs(values)
     try:
-        fp = front_position(wp, epsilon)
+        fp = _front(grid, amp, epsilon)
     except ValueError:
         fp = math.nan
-    return wp, fp, peak_position(wp)
+    return WavePacket(grid, np.array(values, dtype=complex)), fp, _peak(grid, amp**2)
 
 
 def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields):
     """Record step 0, every record_every-th step and the last of `fields`
-    (the field at steps 0, 1, ..., steps) at times n*dt: one WavePacket copy
-    each, with its front (at 1e-10 of the initial peak |psi|) and peak."""
+    (the field at steps 0, 1, ..., steps, which may be one reused buffer) at
+    times n*dt: one WavePacket copy each, with its front (at 1e-10 of the
+    initial peak |psi|) and peak."""
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     psi0 = next(fields)
@@ -117,11 +127,11 @@ def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields):
     if not 0 < amp0 < math.inf:
         raise ValueError(f"initial field must be finite and non-zero, got max |psi| = {amp0}")
     epsilon = 1e-10 * amp0
-    kept, measured = [0], [_measure(grid, psi0.copy(), epsilon)]
+    kept, measured = [0], [_measure(grid, psi0, epsilon)]
     for n, psi in enumerate(fields, start=1):
         if n % record_every == 0 or n == steps:
             kept.append(n)
-            measured.append(_measure(grid, psi.copy(), epsilon))
+            measured.append(_measure(grid, psi, epsilon))
     snapshots, fronts, peaks = zip(*measured)
     return PropagationRecord(
         times=np.asarray(kept) * dt, snapshots=list(snapshots),
@@ -183,27 +193,35 @@ def evolve_wave(
     dx, c = grid.dx, units.c
     dt = courant * dx / c
     kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
-    mass_weight = 1.0 + 0.5 * kc2dt2
+    inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)  # x * inv_w is bitwise numpy's complex x / w
     c2 = courant**2
     psi0 = np.asarray(initial.values, dtype=complex)
     edge_limit = 1e-12 * np.abs(psi0).max()
-
-    def lap(f):
-        out = np.zeros_like(f)
-        out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        return out
 
     if initial_prev is not None:
         prev = np.asarray(initial_prev, dtype=complex)
     else:
         v = np.asarray(initial_velocity, dtype=complex)
         # Second-order Taylor start run backwards to get the t = -dt level.
-        prev = psi0 - dt * v + 0.5 * (c2 * lap(psi0) - kc2dt2 * psi0)
+        lap = np.zeros_like(psi0)
+        lap[1:-1] = psi0[2:] - 2.0 * psi0[1:-1] + psi0[:-2]
+        prev = psi0 - dt * v + 0.5 * (c2 * lap - kc2dt2 * psi0)
+    # Every coefficient is real, so real data step in float64, to the same digits.
+    if not (psi0.imag.any() or prev.imag.any()):
+        psi0, prev = psi0.real, prev.real
 
-    def fields(prev, curr):
+    def fields(prev, curr, nxt, lap):
         yield curr
         for n in range(1, steps + 1):
-            prev, curr = curr, (2.0 * curr + c2 * lap(curr)) / mass_weight - prev
+            # (2 curr + c2 lap(curr)) / w - prev, in place and in that order.
+            np.multiply(2.0, curr, out=nxt)
+            np.subtract(curr[2:], nxt[1:-1], out=lap[1:-1])
+            np.add(lap[1:-1], curr[:-2], out=lap[1:-1])
+            np.multiply(c2, lap, out=lap)
+            np.add(nxt, lap, out=nxt)
+            np.multiply(nxt, inv_w, out=nxt)
+            np.subtract(nxt, prev, out=nxt)
+            prev, curr, nxt = curr, nxt, prev
             # The stencil leaves the outermost cells untouched; the cells next
             # to them are the first to feel an arriving front.
             if abs(curr[1]) > edge_limit or abs(curr[-2]) > edge_limit:
@@ -212,7 +230,9 @@ def evolve_wave(
                 )
             yield curr
 
-    return _recorded(grid, dt, steps, record_every, fields(prev, psi0))
+    # Fresh buffers, never the caller's arrays; lap's edge cells stay 0.
+    buffers = prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0)
+    return _recorded(grid, dt, steps, record_every, fields(*buffers))
 
 
 def evolve_schrodinger(
@@ -242,11 +262,16 @@ def evolve_schrodinger(
     def fields(psi):
         yield psi
         for _ in range(steps):
-            psi = exp_V_half * np.fft.ifft(exp_K * np.fft.fft(exp_V_half * psi))
+            # exp_V_half * ifft(exp_K * fft(exp_V_half * psi)), operands in that
+            # order: numpy's complex multiply is not bitwise commutative.
+            np.multiply(exp_V_half, psi, out=psi)
+            psi = scipy.fft.fft(psi, overwrite_x=True)
+            np.multiply(exp_K, psi, out=psi)
+            psi = scipy.fft.ifft(psi, overwrite_x=True)
+            np.multiply(exp_V_half, psi, out=psi)
             yield psi
 
-    record = _recorded(grid, dt, steps, record_every,
-                       fields(np.asarray(initial.values, dtype=complex)))
+    record = _recorded(grid, dt, steps, record_every, fields(initial.values.copy()))
     # Drift is checked on the recorded snapshots: the steps do no extra work.
     norm0, *norms = [np.sqrt(np.sum(np.abs(wp.values) ** 2) * grid.dx)
                      for wp in record.snapshots]
@@ -281,6 +306,7 @@ def dump_snapshots_csv(
         wp = record.snapshots[idx]
         rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
         path = directory / f"snapshot_{idx:05d}.csv"
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,re,im,abs2", comments="")
+        text = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+        path.write_text("x,re,im,abs2\n" + text, newline="")
         paths.append(path)
     return paths

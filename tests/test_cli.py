@@ -77,6 +77,14 @@ class TestExitCodes:
         (["spectrum", "--lorentz", "nan", "0.1"], "omega0=nan"),
         (["spectrum", "--gauss", "nan", "0.5"], "omega0=nan"),
         (["stationary", "--u0", "2", "--e", "1", "--m0", "nan"], "m0=nan"),
+        (["propagate", "--barrier-kc", "3", "--barrier-width", "nan"], "barrier_width=nan"),
+        (["propagate", "--barrier-kc", "3", "--barrier-start", "nan"], "barrier_start=nan"),
+        (["propagate", "--pulse-width", "0"], "pulse_width=0.0"),
+        (["propagate", "--mode", "schrodinger", "--pulse-width", "-1"], "pulse_width=-1.0"),
+        (["propagate", "--pulse-center", "nan"], "pulse_center=nan"),
+        (["propagate", "--mode", "schrodinger", "--pulse-k0", "inf"], "pulse_k0=inf"),
+        (["propagate", "--x-min", "nan"], "x_min=nan"),
+        (["propagate", "--dx", "inf"], "dx=inf"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -176,6 +184,19 @@ class TestOutputs:
         assert invoke(args, tmp_path, monkeypatch) == 2
         assert [snap.read_bytes() for snap in snaps] == [b"kept\n"] * 3
         assert not (tmp_path / "propagate_summary.json").exists()
+
+    def test_forced_rerun_replaces_stale_snapshots(self, tmp_path, monkeypatch):
+        args = ["propagate", "--steps", "40", "--snapshots"]
+        assert invoke(args + ["--record-every", "1"], tmp_path, monkeypatch) == 0
+        assert len(list((tmp_path / "snapshots").iterdir())) == 41
+        # A forced rerun that fails deletes nothing.
+        assert invoke(["propagate", "--steps", "5000", "--snapshots", "--force"],
+                      tmp_path, monkeypatch) == 1
+        assert len(list((tmp_path / "snapshots").iterdir())) == 41
+        assert invoke(args + ["--record-every", "20", "--force"], tmp_path, monkeypatch) == 0
+        listed = load_summary(tmp_path, "propagate")["outputs"]["snapshots"]
+        assert sorted(p.name for p in (tmp_path / "snapshots").iterdir()) == listed
+        assert len(listed) == 3
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "elsewhere"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from evlab.numcore import Grid1D, WavePacket
 from evlab.propagate import (
@@ -181,6 +182,90 @@ class TestWaveSolver:
             MediumProfile(grid, np.zeros(8))
 
 
+def reference_leapfrog(psi0, prev, profile, courant, steps):
+    """Every field of the out-of-place complex update, the reference the
+    in-place solver reproduces bit for bit (natural units)."""
+    dt = courant * profile.grid.dx
+    kc2dt2 = dt**2 * profile.cutoff_kc**2
+    mass_weight = 1.0 + 0.5 * kc2dt2
+    c2 = courant**2
+
+    def lap(f):
+        out = np.zeros_like(f)
+        out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        return out
+
+    prev, curr = np.asarray(prev, dtype=complex), np.asarray(psi0, dtype=complex)
+    fields = [curr]
+    for _ in range(steps):
+        prev, curr = curr, (2.0 * curr + c2 * lap(curr)) / mass_weight - prev
+        fields.append(curr)
+    return fields
+
+
+def barrier_data(courant, imag_part):
+    grid = Grid1D(-25.6, 0.05, 1024)
+    x = grid.points()
+    profile = MediumProfile(grid, np.where((x >= 0.0) & (x <= 1.5), 3.0, 0.0))
+    d = courant * grid.dx
+    f, f_prev = smooth_bump(x, -10.0, 4.0, 2.0), smooth_bump(x + d, -10.0, 4.0, 2.0)
+    g, g_prev = smooth_bump(x, -8.0, 3.0, 1.3), smooth_bump(x + d, -8.0, 3.0, 1.3)
+    return grid, profile, f + imag_part * g, f_prev + imag_part * g_prev
+
+
+class TestInPlaceLeapfrog:
+    @pytest.mark.parametrize("courant", [1.0, 0.8])
+    @pytest.mark.parametrize("imag_part", [0.0, 1j])
+    def test_every_field_matches_out_of_place_update_bitwise(self, courant, imag_part):
+        grid, profile, psi0, prev = barrier_data(courant, imag_part)
+        record = evolve_wave(WavePacket(grid, psi0), profile, courant, 250,
+                             initial_prev=prev, record_every=1)
+        expected = reference_leapfrog(psi0, prev, profile, courant, 250)
+        assert len(record.snapshots) == len(expected)
+        for wp, ref in zip(record.snapshots, expected):
+            assert wp.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("start", ["prev", "velocity"])
+    def test_complex_data_step_as_real_and_imaginary_parts(self, start):
+        # Every coefficient is real: f + i g evolves as f and g do, so the
+        # float64 and complex128 steps are pinned to one result.
+        grid, profile, f, f_prev = barrier_data(1.0, 0.0)
+        _, _, fg, fg_prev = barrier_data(1.0, 1j)
+        g, g_prev = fg.imag, fg_prev.imag
+        f_vel, g_vel = (f - f_prev) / grid.dx, (g - g_prev) / grid.dx
+
+        def run(psi0, prev, velocity):
+            kwargs = {"initial_prev": prev} if start == "prev" else {"initial_velocity": velocity}
+            return evolve_wave(WavePacket(grid, psi0), profile, 1.0, 180,
+                               record_every=1, **kwargs).snapshots
+
+        for both, re, im in zip(run(fg, fg_prev, f_vel + 1j * g_vel), run(f, f_prev, f_vel),
+                                run(g, g_prev, g_vel)):
+            np.testing.assert_array_equal(both.values.real, re.values.real)
+            np.testing.assert_array_equal(both.values.imag, im.values.real)
+            assert not re.values.imag.any() and not im.values.imag.any()
+
+    @pytest.mark.parametrize("imag_part", [0.0, 1j])
+    def test_caller_arrays_are_not_written(self, imag_part):
+        grid, profile, psi0, prev = barrier_data(1.0, imag_part)
+        prev = np.array(prev, dtype=complex)  # writable, so no conversion copies it
+        velocity = (psi0 - prev) / grid.dx
+        kept_prev, kept_velocity = prev.copy(), velocity.copy()
+        evolve_wave(WavePacket(grid, psi0), profile, 1.0, 20, initial_prev=prev)
+        evolve_wave(WavePacket(grid, psi0), profile, 1.0, 20, initial_velocity=velocity)
+        assert prev.tobytes() == kept_prev.tobytes()
+        assert velocity.tobytes() == kept_velocity.tobytes()
+
+    @pytest.mark.parametrize("imag_part", [0.0, 1j])
+    def test_snapshots_share_no_memory(self, imag_part):
+        grid, profile, psi0, prev = barrier_data(1.0, imag_part)
+        record = evolve_wave(WavePacket(grid, psi0), profile, 1.0, 12, initial_prev=prev)
+        arrays = [wp.values for wp in record.snapshots]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
 class TestSchrodingerSolver:
     def test_free_gaussian_spreading_law(self):
         grid = Grid1D(-51.2, 0.1, 1024)
@@ -208,6 +293,19 @@ class TestSchrodingerSolver:
                                     dt=0.01, steps=500, record_every=100)
         for wp in record.snapshots:
             assert wp.energy() == pytest.approx(1.0, abs=1e-12)
+
+    def test_every_field_matches_out_of_place_step_bitwise(self):
+        record = schrodinger_run(steps=30, record_every=1)
+        grid, dt = record.snapshots[0].grid, 0.01
+        x = grid.points()
+        U = np.where((x >= 0.0) & (x <= 1.0), 3.0, 0.0)
+        k = 2.0 * math.pi * np.fft.fftfreq(grid.count, grid.dx)
+        exp_V_half = np.exp(-0.5j * U * dt / 1.0)
+        exp_K = np.exp(-0.5j * 1.0 * k**2 * dt / 1.0)
+        psi = record.snapshots[0].values
+        for wp in record.snapshots[1:]:
+            psi = exp_V_half * scipy.fft.ifft(exp_K * scipy.fft.fft(exp_V_half * psi))
+            assert wp.values.tobytes() == psi.tobytes()
 
     def test_validation(self):
         grid = Grid1D(-5.0, 0.1, 64)
