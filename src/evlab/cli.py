@@ -16,6 +16,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -175,15 +176,13 @@ def cmd_ttime(args, out: OutputWriter):
 def cmd_spectrum(args, out: OutputWriter):
     units = _units(args.units)
     out.inputs["a"] = args.a
-    moments = spectral.box_moments(args.a)
-    report = dict(moments)
+    report = spectral.box_moments(args.a)
     report["parseval"] = spectral.box_parseval(args.a)
     report["k2_spectral"] = spectral.box_k2_spectral(args.a)
     report.update(spectral.released_energy_spread(args.a, units))
     out.add_result("box_state", report)
     if args.tail_akprime is not None:
-        k_prime = args.tail_akprime / args.a
-        tail = spectral.tail_probability(k_prime, args.a)
+        tail = spectral.tail_probability(args.tail_akprime, 1.0)  # depends on a*k' alone
         out.add_result("tail_probability", {
             "a_k_prime": args.tail_akprime,
             "exact": tail["exact"],
@@ -404,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--sweep-d", default=None, help="barrier widths lo:hi:count")
     p.set_defaults(func=cmd_tolman)
+    # Read "-1e-05" and "-inf" as values, not options: no evlab option looks like a number.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

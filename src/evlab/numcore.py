@@ -134,10 +134,10 @@ def _panels(f, lo, hi):
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) quadrature of f over [a, b].
 
-    f maps an array of abscissae to an array of the same shape, one call for
-    the endpoints and one per bisection round. The result I satisfies
-    |I - integral| <= tol * max(1, |I|) within MAX_QUAD_DEPTH rounds and
-    MAX_QUAD_PANELS panels, or an IntegrationError carries the best estimate.
+    f maps an array of abscissae to an array of the same shape, one call for the endpoints
+    and one per bisection round. The result I satisfies |I - integral| <= tol * max(1, |I|)
+    within MAX_QUAD_DEPTH rounds and MAX_QUAD_PANELS panels, or an IntegrationError carries
+    the best estimate. The rule is absolute below |I| = 1: callers scale f so that I is O(1).
     """
     if not a < b:
         raise ValueError(f"require a < b, got a={a}, b={b}")

@@ -10,6 +10,7 @@ deviation, finite whenever high frequencies decay fast enough).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,16 @@ TAIL_COEFFICIENT_WARNING = (
 @dataclass(frozen=True)
 class BoxState:
     """Ground mode of a hard-wall box of width a, centered at the origin:
-    psi(x) = sqrt(2/a) cos(pi x / a) on |x| <= a/2, zero outside."""
+    psi(x) = sqrt(2/a) cos(pi x / a) on |x| <= a/2, zero outside. Its <k^2> =
+    (pi/a)^2 must be a normal double, so a lies in about [2.4e-154, 2.1e154]."""
 
     width_a: float
 
     def __post_init__(self):
         if not self.width_a > 0:
             raise ValueError(f"box width must be positive, got a={self.width_a}")
+        if not sys.float_info.min <= self.k_a * self.k_a < math.inf:
+            raise ValueError(f"(pi/a)^2 is out of double range at a={self.width_a}")
 
     @property
     def k_a(self) -> float:
@@ -58,8 +62,9 @@ class LineShape:
     gamma0: float
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and self.gamma0 > 0):
-            raise ValueError(f"omega0 and gamma0 must be positive, got {self}")
+        # A normal gamma0 keeps the peak density 2 / (pi gamma0) finite.
+        if not (0 < self.omega0 < math.inf and sys.float_info.min <= self.gamma0 < math.inf):
+            raise ValueError(f"omega0 and gamma0 must be positive and finite, got {self}")
 
 
 def box_spectrum(k, a: float):
@@ -86,39 +91,36 @@ def box_spectrum(k, a: float):
     return out if out.shape else float(out)
 
 
-def _tail_integral_abs2(a: float, K: float) -> float:
-    """Analytic estimate of int_K^inf |F|^2 dk using
-    |F|^2 ~ (2 pi / (a^3 k^4)) (1 + cos a k) (1 + 2 pi^2/(a^2 k^2))."""
-    c0 = 2.0 * math.pi / a**3
-    base = c0 / (3.0 * K**3)
-    osc = -c0 * math.sin(a * K) / (a * K**4)
-    corr = c0 * (2.0 * math.pi**2 / a**2) / (5.0 * K**5)
-    return base + osc + corr
+def _tail_integral_abs2(K: float) -> float:
+    """Analytic estimate of int_K^inf |F(u; 1)|^2 du using |F|^2 ~ (2 pi / u^4)
+    (1 + cos u)(1 + 2 pi^2/u^2); as products, the powers of a huge K cannot overflow."""
+    c0, K3 = 2.0 * math.pi, K * K * K
+    return (c0 / 3.0 / K3 - c0 * math.sin(K) / (K3 * K)
+            + c0 * (2.0 * math.pi**2) / (5.0 * (K3 * K * K)))
 
 
-def _tail_integral_k2abs2(a: float, K: float) -> float:
-    """Analytic estimate of int_K^inf k^2 |F|^2 dk."""
-    c0 = 2.0 * math.pi / a**3
-    base = c0 / K
-    osc = -c0 * math.sin(a * K) / (a * K**2) + 2.0 * c0 * math.cos(a * K) / (a**2 * K**3)
-    corr = c0 * (2.0 * math.pi**2 / a**2) * (
-        1.0 / (3.0 * K**3) - math.sin(a * K) / (a * K**4)
-    )
-    return base + osc + corr
+def _tail_integral_k2abs2(K: float) -> float:
+    """Analytic estimate of int_K^inf u^2 |F(u; 1)|^2 du."""
+    c0, K3 = 2.0 * math.pi, K * K * K
+    osc = -c0 * math.sin(K) / (K * K) + 2.0 * c0 * math.cos(K) / K3
+    corr = c0 * (2.0 * math.pi**2) * (1.0 / (3.0 * K3) - math.sin(K) / (K3 * K))
+    return c0 / K + osc + corr
 
 
 def box_parseval(a: float) -> float:
-    """Quadrature + analytic-tail value of int |F|^2 dk (should be 1)."""
-    k_cut = 200.0 * math.pi / a
-    body = 2.0 * integrate(lambda k: box_spectrum(k, a) ** 2, 0.0, k_cut, 1e-10)
-    return body + 2.0 * _tail_integral_abs2(a, k_cut)
+    """Quadrature + analytic tail: int |F|^2 dk = int |F(u; 1)|^2 du = 1, with u = a k."""
+    BoxState(a)
+    u_cut = 200.0 * math.pi
+    body = 2.0 * integrate(lambda u: box_spectrum(u, 1.0) ** 2, 0.0, u_cut, 1e-10)
+    return body + 2.0 * _tail_integral_abs2(u_cut)
 
 
 def box_k2_spectral(a: float) -> float:
-    """Quadrature + analytic-tail value of int k^2 |F|^2 dk (should be (pi/a)^2)."""
-    k_cut = 400.0 * math.pi / a
-    body = 2.0 * integrate(lambda k: (k * box_spectrum(k, a)) ** 2, 0.0, k_cut, 1e-10)
-    return body + 2.0 * _tail_integral_k2abs2(a, k_cut)
+    """Quadrature + analytic tail: int k^2 |F|^2 dk = int u^2 |F(u; 1)|^2 du / a^2 = (pi/a)^2."""
+    BoxState(a)
+    u_cut = 400.0 * math.pi
+    body = 2.0 * integrate(lambda u: (u * box_spectrum(u, 1.0)) ** 2, 0.0, u_cut, 1e-10)
+    return (body + 2.0 * _tail_integral_k2abs2(u_cut)) / a / a
 
 
 def tail_probability(k_prime: float, a: float) -> dict:
@@ -127,20 +129,20 @@ def tail_probability(k_prime: float, a: float) -> dict:
     Returns {'exact': quadrature + analytic tail, 'asymptotic': the printed
     (8/3) pi / (a k')^3 estimate}. The two disagree by a factor of two; the
     quadrature route is authoritative and the discrepancy is surfaced, not
-    hidden.
+    hidden. Both depend on the cut a k' alone, which must exceed pi with a finite cube.
     """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got a={a}")
-    k_a = math.pi / a
-    if not k_prime > k_a:
-        raise ValueError(
-            f"k_prime={k_prime} must exceed k_a={k_a}: the asymptotic regime "
-            "requires k' >> pi/a"
-        )
-    k_cut = k_prime + 400.0 * math.pi / a
-    scale = (a * k_prime) ** 3  # the tail is ~1/scale << 1: make tol relative
-    body = 2.0 * integrate(lambda k: scale * box_spectrum(k, a) ** 2, k_prime, k_cut, 1e-12)
-    exact = body / scale + 2.0 * _tail_integral_abs2(a, k_cut)
+    k_a = BoxState(a).k_a
+    cut = a * k_prime
+    if not cut > math.pi:
+        raise ValueError(f"k_prime={k_prime} must exceed k_a={k_a}: the asymptotic "
+                         "regime requires k' >> pi/a")
+    scale = cut * cut * cut  # the tail is ~1/scale << 1: make tol relative
+    if scale == math.inf:
+        raise ValueError(f"(a*k_prime)^3 overflows at a={a}, k_prime={k_prime}")
+    # Integrate in v = u - cut, so the interval keeps its width at any cut.
+    body = 2.0 * integrate(
+        lambda v: scale * box_spectrum(cut + v, 1.0) ** 2, 0.0, 400.0 * math.pi, 1e-12)
+    exact = body / scale + 2.0 * _tail_integral_abs2(cut + 400.0 * math.pi)
     asymptotic = PRINTED_TAIL_COEFFICIENT / scale
     return {"exact": exact, "asymptotic": asymptotic}
 
@@ -149,52 +151,47 @@ def box_moments(a: float) -> dict:
     """Position and momentum moments of the box ground mode.
 
     delta_x and k2_mean are each computed from the closed form *and* from
-    x-representation quadrature; disagreement beyond tolerance raises, so a
-    silent regression in either route cannot pass unnoticed.
+    quadrature over the unit box in s = x/a; disagreement beyond tolerance
+    raises, so a silent regression in either route cannot pass unnoticed.
     """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got a={a}")
-    k_a = math.pi / a
-    delta_x_closed = a * math.sqrt((1.0 / 12.0) * (1.0 - 6.0 / math.pi**2))
-    box = BoxState(a)
-    x2 = integrate(lambda x: x * x * box.psi(x) ** 2, -a / 2.0, a / 2.0, 1e-10)
-    delta_x_quad = math.sqrt(x2)  # mean x = 0 by symmetry
-    if abs(delta_x_quad - delta_x_closed) > 1e-7 * a:
-        raise RuntimeError("delta_x quadrature disagrees with the closed form")
-    # <k^2> in the x-representation: -int psi psi'' dx = int (psi')^2 dx.
-    dpsi = lambda x: -math.sqrt(2.0 / a) * k_a * np.sin(k_a * x)
-    k2_quad = integrate(lambda x: dpsi(x) ** 2, -a / 2.0, a / 2.0, 1e-10)
-    k2_closed = k_a**2
-    if abs(k2_quad - k2_closed) > 1e-7 * k2_closed:
-        raise RuntimeError("k^2 quadrature disagrees with the closed form")
+    k_a = BoxState(a).k_a
+    delta_s = math.sqrt((1.0 / 12.0) * (1.0 - 6.0 / math.pi**2))
+    unit = BoxState(1.0)
+    # Mean s = 0 by symmetry; a^2 <k^2> = int (dpsi/ds)^2 ds, which is pi^2.
+    s2 = integrate(lambda s: s * s * unit.psi(s) ** 2, -0.5, 0.5, 1e-10)
+    k2_s = integrate(lambda s: (math.sqrt(2.0) * math.pi * np.sin(math.pi * s)) ** 2, -0.5, 0.5)
+    if abs(math.sqrt(s2) - delta_s) > 1e-7 or abs(k2_s - math.pi**2) > 1e-7 * math.pi**2:
+        raise RuntimeError("box moment quadrature disagrees with the closed form")
     return {
-        "delta_x": delta_x_closed,
+        "delta_x": a * delta_s,
         "mean_k": 0.0,
-        "k2_mean": k2_closed,
+        "k2_mean": k_a * k_a,
         "delta_k": k_a,
     }
 
 
+def _unit_lorentzian(u):
+    """Density per unit u = (omega - omega0)/gamma0 of every Lorentzian line."""
+    return 1.0 / (2.0 * math.pi * (u * u + 0.25))
+
+
 def lorentzian_density(omega: float, line: LineShape) -> float:
     """Probability per unit frequency of the Lorentzian line."""
-    g = line.gamma0
-    return (1.0 / (2.0 * math.pi)) * g / ((omega - line.omega0) ** 2 + 0.25 * g**2)
+    return _unit_lorentzian((omega - line.omega0) / line.gamma0) / line.gamma0
 
 
 def lorentzian_norm(line: LineShape) -> float:
-    """Normalization of the line by finite quadrature plus analytic arctan tails."""
-    lo, hi = line.omega0 - 1e4 * line.gamma0, line.omega0 + 1e4 * line.gamma0
-    body = integrate(lambda w: lorentzian_density(w, line), lo, hi, 1e-10)
-    # int_hi^inf = 1/2 - (1/pi) arctan(2 (hi - omega0) / gamma0), same on the left.
-    tail = 1.0 - (2.0 / math.pi) * math.atan(2.0 * (hi - line.omega0) / line.gamma0)
+    """Normalization of any line: quadrature in u plus analytic arctan tails."""
+    body = integrate(_unit_lorentzian, -1e4, 1e4, 1e-10)
+    # int_U^inf = 1/2 - (1/pi) arctan(2 U), the same on the left.
+    tail = 1.0 - (2.0 / math.pi) * math.atan(2e4)
     return body + tail
 
 
 def released_energy_spread(a: float, units: UnitSystem = NATURAL_UNITS) -> dict:
     """Mean energy and energy indeterminacy of a photon released from a
     resonator of length a: both equal hbar omega_a = pi hbar c / a."""
-    if not a > 0:
-        raise ValueError(f"a must be positive, got a={a}")
+    BoxState(a)
     omega_a = units.c * math.pi / a
     return {
         "omega_a": omega_a,

@@ -85,6 +85,12 @@ class TestExitCodes:
         (["propagate", "--mode", "schrodinger", "--pulse-k0", "inf"], "pulse_k0=inf"),
         (["propagate", "--x-min", "nan"], "x_min=nan"),
         (["propagate", "--dx", "inf"], "dx=inf"),
+        # Negative values in exponent notation or -inf are values, not options.
+        (["ftir", "--experiment-report", "--kappa-d", "-1e-3"], "d="),
+        (["propagate", "--pulse-center", "-inf"], "pulse_center=-inf"),
+        # (pi/a)^2 leaves the double range.
+        (["spectrum", "--a", "1e-200"], "a=1e-200"),
+        (["spectrum", "--a", "1e200"], "a=1e+200"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -277,6 +283,19 @@ class TestSubcommands:
         monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or call(*a, **kw))
         assert invoke(argv, tmp_path, monkeypatch) == 0
         assert len(calls) == 1
+
+    def test_negative_exponent_value_is_a_value(self, tmp_path, monkeypatch):
+        code = invoke(["tolman", "--v-frame", "-1e-05", "--dx-over-dt", "2"],
+                      tmp_path, monkeypatch)
+        assert code == 0
+        assert load_summary(tmp_path, "tolman")["inputs"]["v_frame"] == -1e-05
+
+    def test_spectrum_narrow_lorentzian(self, tmp_path, monkeypatch):
+        code = invoke(["spectrum", "--lorentz", "1", "1e-12"], tmp_path, monkeypatch)
+        assert code == 0
+        line = load_summary(tmp_path, "spectrum")["outputs"]["lorentzian"]
+        assert line["norm"] == pytest.approx(1.0, abs=1e-12)
+        assert line["peak"] == pytest.approx(2.0 / (math.pi * 1e-12), rel=1e-15)
 
     def test_spectrum_tail_warning_recorded(self, tmp_path, monkeypatch):
         code = invoke(["spectrum", "--a", "1.0", "--tail-akprime", "628.3"],

@@ -1,6 +1,7 @@
 """Tests for the wave-packet spectral analysis module."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ from evlab.spectral import (
     released_energy_spread,
     tail_probability,
 )
+
+
+# Box widths over 300 decades: every box result is computed in u = a k or
+# s = x/a, so each must meet its closed form to the same relative tolerance.
+BOX_WIDTHS = (1e-150, 1e-100, 1e-3, 1.0, 1.7, 1e3, 1e5, 1e6, 1e100, 1e150)
 
 
 def fourier_quadrature(k, a, tol=1e-12):
@@ -84,23 +90,31 @@ class TestBoxSpectrum:
 
 class TestParsevalAndMoments:
     def test_parseval(self):
-        assert box_parseval(1.0) == pytest.approx(1.0, abs=1e-7)
-        assert box_parseval(2.5) == pytest.approx(1.0, abs=1e-7)
+        widths = (*BOX_WIDTHS, 2.5)
+        assert [box_parseval(a) for a in widths] == pytest.approx([1.0] * len(widths), abs=1e-7)
 
     def test_k2_spectral_equals_ground_mode_k2(self):
-        for a in (1.0, 1.7):
-            assert box_k2_spectral(a) == pytest.approx(
-                (math.pi / a) ** 2, rel=1e-6
-            )
+        assert [box_k2_spectral(a) for a in BOX_WIDTHS] == pytest.approx(
+            [(math.pi / a) ** 2 for a in BOX_WIDTHS], rel=1e-6, abs=0.0)
 
     def test_moments(self):
-        a = 1.0
-        m = box_moments(a)
-        assert m["delta_x"] == pytest.approx(
-            math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)), abs=1e-12
-        )
-        assert m["mean_k"] == 0.0
-        assert m["delta_k"] == pytest.approx(math.pi / a)
+        moments = [box_moments(a) for a in BOX_WIDTHS]
+        assert [m["delta_x"] for m in moments] == pytest.approx(
+            [a * math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi**2)) for a in BOX_WIDTHS],
+            rel=1e-12, abs=0.0)
+        assert [m["mean_k"] for m in moments] == [0.0] * len(BOX_WIDTHS)
+        assert [m["delta_k"] for m in moments] == pytest.approx(
+            [math.pi / a for a in BOX_WIDTHS], rel=1e-6, abs=0.0)
+        assert [m["k2_mean"] for m in moments] == pytest.approx(
+            [(math.pi / a) ** 2 for a in BOX_WIDTHS], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("fn", [box_parseval, box_k2_spectral, box_moments,
+                                    released_energy_spread, BoxState])
+    @pytest.mark.parametrize("a", [1e-200, 2.3e-154, 2.2e154, 1e200, math.inf])
+    def test_width_out_of_double_range_is_named(self, fn, a):
+        # (pi/a)^2 must be a normal double: about 2.4e-154 <= a <= 2.1e154.
+        with pytest.raises(ValueError, match=re.escape(f"at a={a}")):
+            fn(a)
 
     def test_uncertainty_product_exceeds_half(self):
         m = box_moments(1.0)
@@ -130,6 +144,22 @@ class TestTailProbability:
         oracle = 2.0 * (smooth + wave)
         assert tail_probability(k_prime, a)["exact"] == pytest.approx(oracle, rel=1e-6)
 
+    def test_exact_depends_on_a_k_prime_alone(self):
+        ref = tail_probability(200.0 * math.pi, 1.0)["exact"]
+        exact = [tail_probability(200.0 * math.pi / a, a)["exact"] for a in BOX_WIDTHS]
+        assert exact == pytest.approx([ref] * len(BOX_WIDTHS), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ak", [1e20, 1e60, 1e100, 5.6e102])
+    def test_huge_cut_meets_oracle_coefficient(self, ak):
+        # The oscillating corrections fall as 1/(a k')^4: (4/3) pi / (a k')^3 is exact here.
+        tail = tail_probability(ak, 1.0)
+        assert tail["exact"] == pytest.approx(ORACLE_TAIL_COEFFICIENT / ak**3, rel=1e-12, abs=0.0)
+        assert tail["asymptotic"] == pytest.approx(PRINTED_TAIL_COEFFICIENT / ak**3, rel=1e-15)
+
+    def test_cube_overflow_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("overflows at a=1.0, k_prime=1e+103")):
+            tail_probability(1e103, 1.0)
+
     def test_printed_asymptotic_is_double(self):
         tail = tail_probability(200.0 * math.pi, 1.0)
         assert tail["asymptotic"] == pytest.approx(2.0 * tail["exact"], rel=0.05)
@@ -152,8 +182,18 @@ class TestTailProbability:
 
 class TestLorentzian:
     def test_normalization(self):
-        line = LineShape(5.0, 0.7)
-        assert lorentzian_norm(line) == pytest.approx(1.0, abs=1e-9)
+        lines = [LineShape(w0, g0) for w0 in (1.0, 5.0) for g0 in (1e-12, 1e-6, 0.7, 1e3)]
+        assert [lorentzian_norm(line) for line in lines] == pytest.approx(
+            [1.0] * len(lines), abs=1e-12)
+
+    @pytest.mark.parametrize("g0", [2.3e-308, 1e-12, 0.7, 1e300])
+    def test_density_at_any_width(self, g0):
+        line = LineShape(1.0, g0)
+        assert lorentzian_density(1.0, line) == pytest.approx(2.0 / (math.pi * g0), rel=1e-15)
+        # Far in the wing the density gamma0 / (2 pi omega^2) underflows, never overflows.
+        for omega in (1e308, -1.7e308):
+            far = g0 / (2.0 * math.pi) / omega / omega
+            assert lorentzian_density(omega, line) == pytest.approx(far, rel=1e-6, abs=1e-323)
 
     def test_fwhm_is_gamma0(self):
         line = LineShape(5.0, 0.7)
@@ -168,6 +208,10 @@ class TestLorentzian:
             LineShape(-1.0, 0.5)
         with pytest.raises(ValueError):
             LineShape(1.0, 0.0)
+        # The peak density 2 / (pi gamma0) overflows below the normal range.
+        for w0, g0 in [(1.0, 1e-310), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                LineShape(w0, g0)
 
 
 class TestBandReports:
