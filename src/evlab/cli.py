@@ -62,6 +62,14 @@ def _parse_sweep(text: str):
     return np.linspace(lo, hi, n)
 
 
+def _require_finite(args, *names):
+    """Name the first of the given options that is set but not finite."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
+
+
 class OutputWriter:
     """Deterministic CSV/JSON emission with a run manifest."""
 
@@ -249,9 +257,7 @@ def cmd_propagate(args, out: OutputWriter):
     units = _units(args.units)
     # Checked before any arithmetic: NaN fails the barrier mask's comparisons
     # silently, and a zero width divides by zero.
-    for name in ("pulse_center", "pulse_k0", "barrier_start", "barrier_width"):
-        if not math.isfinite(getattr(args, name)):
-            raise ValueError(f"{name} must be finite, got {name}={getattr(args, name)}")
+    _require_finite(args, "pulse_center", "pulse_k0", "barrier_start", "barrier_width")
     if not 0 < args.pulse_width < math.inf:
         raise ValueError("initial field needs a positive, finite pulse width, "
                          f"got pulse_width={args.pulse_width}")
@@ -293,6 +299,10 @@ def cmd_propagate(args, out: OutputWriter):
 
 def cmd_tolman(args, out: OutputWriter):
     units = _units(args.units)
+    # Checked before any arithmetic: NaN and inf would otherwise surface as a
+    # JSON error or a classification, naming no input.
+    _require_finite(args, "v_signal", "kappa", "threshold", "dx_over_dt")
+    tolman.Boost(args.v_frame).gamma(units)  # every output is in this frame
     out.inputs.update({"v_signal": args.v_signal, "v_frame": args.v_frame})
     if args.dx_over_dt is not None:
         a = tolman.Event(0.0, 0.0)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
 from .stationary import _phase_rate, _slab_field, match_evanescent_slab
@@ -223,6 +222,7 @@ def reshaping_distance(input_env: WavePacket, output_env: WavePacket) -> float:
     Zero means the output is a pure delay plus scaling of the input; any
     positive value is genuine reshaping.
     """
+    from scipy.optimize import minimize_scalar  # ~0.5 s to import; no CLI path needs it
     if input_env.grid.dx != output_env.grid.dx:
         raise ValueError("envelopes must share the sample spacing")
     if input_env.grid.count != output_env.grid.count:

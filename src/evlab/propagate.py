@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
 
@@ -246,6 +245,7 @@ def evolve_schrodinger(
     norm_tol: float = 1e-8,
 ) -> PropagationRecord:
     """Split-step (Strang) spectral evolution of the Schrodinger equation."""
+    import scipy.fft  # loaded on first use, so wave-mode runs never pay for it
     if not (0 < mass < math.inf and 0 < dt < math.inf) or steps < 1:
         raise ValueError(f"mass, dt and steps must be positive, got {mass=}, {dt=}, {steps=}")
     grid = initial.grid

@@ -210,8 +210,9 @@ def gaussian_band_report(
     delta_omega is recomputed by moment quadrature rather than echoed from
     the parameter, so the report is a measurement, not a restatement.
     """
-    if not (omega0 > 0 and sigma > 0):
-        raise ValueError(f"omega0 and sigma must be positive, got omega0={omega0}, sigma={sigma}")
+    if not (0 < omega0 < math.inf and 0 < sigma < math.inf):
+        raise ValueError("omega0 and sigma must be positive and finite, "
+                         f"got omega0={omega0}, sigma={sigma}")
     # In u = (omega - omega0) / sigma the integrals are O(1), so the
     # tol max(1, |I|) contract stays relative at any sigma and omega0.
     density = lambda u: np.exp(-0.5 * u * u)

@@ -52,10 +52,12 @@ class SignalLeg:
     barrier_width: float = 0.0
 
     def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError("signal speed must be positive")
-        if self.barrier_kappa < 0 or self.barrier_width < 0:
-            raise ValueError("barrier parameters must be non-negative")
+        # Written so that NaN fails them.
+        if not self.speed > 0:
+            raise ValueError(f"signal speed must be positive, got speed={self.speed}")
+        if not (self.barrier_kappa >= 0 and self.barrier_width >= 0):
+            raise ValueError("barrier parameters must be non-negative, got "
+                             f"kappa={self.barrier_kappa}, width={self.barrier_width}")
 
     @property
     def amplitude_factor(self) -> float:
@@ -80,14 +82,15 @@ def velocity_addition(v1: float, v2: float, units: UnitSystem = NATURAL_UNITS) -
 
 
 def classify_interval(a: Event, b: Event, units: UnitSystem = NATURAL_UNITS) -> str:
-    """Sign classification of c^2 dt^2 - dx^2: timelike/spacelike/lightlike."""
-    dt = b.t - a.t
-    dx = b.x - a.x
-    s2 = (units.c * dt) ** 2 - dx**2
-    scale = max((units.c * dt) ** 2 + dx**2, 1.0)
-    if abs(s2) <= 1e-12 * scale:
+    """Sign classification of c^2 dt^2 - dx^2 (timelike/spacelike/lightlike),
+    comparing |c dt| with |dx|: their squares overflow beyond ~1e154."""
+    ct = abs(units.c * (b.t - a.t))
+    dx = abs(b.x - a.x)
+    if not (math.isfinite(ct) and math.isfinite(dx)):
+        raise ValueError(f"event separation must be finite, got c*dt={ct}, dx={dx}")
+    if abs(ct - dx) <= 1e-12 * max(ct, dx, 1.0):
         return "lightlike"
-    return "timelike" if s2 > 0 else "spacelike"
+    return "timelike" if ct > dx else "spacelike"
 
 
 def ordering_in_frame(
@@ -122,8 +125,8 @@ def round_trip(
     original emission), the combined attenuation amplitude, and the
     causal-loop flag.
     """
-    if reply_delay < 0:
-        raise ValueError("reply_delay must be non-negative")
+    if not reply_delay >= 0:
+        raise ValueError(f"reply_delay must be non-negative, got reply_delay={reply_delay}")
     boost = Boost(frame_V)
     boost.gamma(units)  # validates |frame_V| < c
     d1 = leg1.barrier_width

@@ -91,6 +91,16 @@ class TestExitCodes:
         # (pi/a)^2 leaves the double range.
         (["spectrum", "--a", "1e-200"], "a=1e-200"),
         (["spectrum", "--a", "1e200"], "a=1e+200"),
+        # Non-finite tolman inputs are named before any arithmetic.
+        (["tolman", "--dx-over-dt", "inf"], "dx_over_dt=inf"),
+        (["tolman", "--dx-over-dt", "-inf"], "dx_over_dt=-inf"),
+        (["tolman", "--dx-over-dt", "nan"], "dx_over_dt=nan"),
+        (["tolman", "--v-signal", "nan"], "v_signal=nan"),
+        (["tolman", "--v-frame", "nan"], "|V| = nan"),
+        (["tolman", "--kappa", "inf", "--sweep-d", "1:2:3"], "kappa=inf"),
+        (["tolman", "--threshold", "nan", "--sweep-d", "1:2:3"], "threshold=nan"),
+        (["spectrum", "--gauss", "inf", "0.5"], "omega0=inf"),
+        (["spectrum", "--gauss", "10", "inf"], "sigma=inf"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -360,6 +370,13 @@ class TestSubcommands:
         window = summary["outputs"]["feasibility_window"]
         assert window["empty"] in (True, False)
 
+    @pytest.mark.parametrize("dx_over_dt, ordering", [("1e200", "b_first"), ("-1e200", "a_first")])
+    def test_tolman_huge_separation_is_spacelike(self, tmp_path, monkeypatch, dx_over_dt, ordering):
+        assert invoke(["tolman", "--dx-over-dt", dx_over_dt], tmp_path, monkeypatch) == 0
+        summary = load_summary(tmp_path, "tolman")
+        assert summary["outputs"]["interval"] == "spacelike"
+        assert summary["outputs"]["ordering"] == ordering
+
 
 def fresh_process_outputs(deck, tmp_path):
     """Files written by each run of `deck`, each run in a new interpreter."""
@@ -398,6 +415,49 @@ class TestCachedState:
         summary = {"command": "x", "inputs": {}, "outputs": {}, "warnings": [1]}
         with pytest.raises(jsonschema.ValidationError):
             cli._summary_validator().validate(summary)
+
+
+# Run in a fresh interpreter: every CLI path but the Schrodinger split step
+# leaves scipy.optimize and scipy.fft unimported, and the paths that need
+# them still load them on first use.
+IMPORT_BUDGET = """
+import sys
+import numpy as np
+from evlab import cli, ftir
+from evlab.numcore import Grid1D, WavePacket
+
+DEFERRED = {"scipy.optimize", "scipy.fft"}
+deck = [
+    ["stationary", "--u0", "2", "--e", "1"],
+    ["ttime", "--u0", "2", "--e", "1"],
+    ["spectrum"],
+    ["ftir", "--gap-d", "1"],
+    ["tolman", "--dx-over-dt", "2"],
+    ["propagate", "--steps", "40"],
+]
+for i, argv in enumerate(deck):
+    assert cli.run([*argv, "--output-dir", f"run_{i}"]) == 0, argv
+loaded = DEFERRED.intersection(sys.modules)
+assert not loaded, loaded
+assert cli.run(["propagate", "--mode", "schrodinger", "--steps", "40",
+                "--output-dir", "schrodinger"]) == 0
+assert "scipy.fft" in sys.modules
+grid = Grid1D(-20.0, 0.05, 800)
+pulse = lambda t0: np.exp(-0.5 * (grid.points() - t0) ** 2)
+assert ftir.reshaping_distance(WavePacket(grid, pulse(0.0)),
+                               WavePacket(grid, 0.3 * pulse(3.0))) < 1e-12
+assert "scipy.optimize" in sys.modules
+print("ok")
+"""
+
+
+def test_cli_paths_import_scipy_only_where_they_use_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(evlab.__file__).parents[1]))
+    env.pop("EVLAB_OUTPUT_DIR", None)
+    done = subprocess.run([sys.executable, "-c", IMPORT_BUDGET], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
 
 
 class TestRowFormat:

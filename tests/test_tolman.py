@@ -64,6 +64,22 @@ class TestIntervalAndOrdering:
         assert classify_interval(o, Event(1.0, 2.0)) == "spacelike"
         assert classify_interval(o, Event(1.0, 1.0)) == "lightlike"
 
+    def test_classification_far_beyond_squared_range(self):
+        # (1e200)^2 overflows; the comparison of |c dt| with |dx| does not.
+        o = Event(0.0, 0.0)
+        assert classify_interval(o, Event(1.0, 1e200)) == "spacelike"
+        assert classify_interval(o, Event(1.0, -1e200)) == "spacelike"
+        assert classify_interval(o, Event(1e200, 1.0)) == "timelike"
+        assert classify_interval(o, Event(1e200, 1e200 * (1 + 1e-13))) == "lightlike"
+        assert classify_interval(o, Event(1e200, 1e200 * (1 + 1e-11))) == "spacelike"
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_separation_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            classify_interval(Event(0.0, 0.0), Event(1.0, x))
+        with pytest.raises(ValueError, match="finite"):
+            classify_interval(Event(0.0, 0.0), Event(x, 1.0))
+
     def test_timelike_order_is_frame_independent(self):
         a, b = Event(0.0, 0.0), Event(2.0, 1.0)
         for V in (-0.9, -0.3, 0.0, 0.3, 0.9):
@@ -138,6 +154,17 @@ class TestRoundTrip:
         bad = SignalLeg(2.0, Event(0.0, 0.0))  # no travel distance
         with pytest.raises(ValueError):
             round_trip(bad, 0.0, leg, 0.5)
+
+    def test_nan_inputs_rejected(self):
+        leg = SignalLeg(2.0, Event(0.0, 0.0), barrier_width=1.0)
+        with pytest.raises(ValueError, match="reply_delay=nan"):
+            round_trip(leg, math.nan, leg, 0.5)
+        with pytest.raises(ValueError, match="speed=nan"):
+            SignalLeg(math.nan, Event(0.0, 0.0), barrier_width=1.0)
+        with pytest.raises(ValueError, match="kappa=nan"):
+            SignalLeg(2.0, Event(0.0, 0.0), barrier_kappa=math.nan, barrier_width=1.0)
+        with pytest.raises(ValueError, match="width=nan"):
+            SignalLeg(2.0, Event(0.0, 0.0), barrier_width=math.nan)
 
 
 class TestTradeoffSweep:
