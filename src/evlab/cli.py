@@ -59,6 +59,9 @@ def _parse_sweep(text: str):
         raise CliError(f"sweep must be lo:hi:count, got {text!r}") from None
     if n < 1:
         raise CliError("sweep count must be at least 1")
+    # Finite exactly when both bounds and the span linspace divides are.
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"sweep bounds and their span must be finite, got {text!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -303,7 +306,9 @@ def cmd_tolman(args, out: OutputWriter):
     # JSON error or a classification, naming no input.
     _require_finite(args, "v_signal", "kappa", "threshold", "dx_over_dt")
     tolman.Boost(args.v_frame).gamma(units)  # every output is in this frame
-    out.inputs.update({"v_signal": args.v_signal, "v_frame": args.v_frame})
+    out.inputs.update({"v_signal": args.v_signal, "v_frame": args.v_frame,
+                       "dx_over_dt": args.dx_over_dt, "kappa": args.kappa,
+                       "threshold": args.threshold, "sweep_d": args.sweep_d})
     if args.dx_over_dt is not None:
         a = tolman.Event(0.0, 0.0)
         b = tolman.Event(1.0, args.dx_over_dt * 1.0)
@@ -313,14 +318,15 @@ def cmd_tolman(args, out: OutputWriter):
     if args.sweep_d:
         sweep = tolman.tradeoff_sweep(args.kappa, args.v_signal, args.v_frame,
                                       _parse_sweep(args.sweep_d), args.threshold, units)
-        rows = [[r["d"], r["advance"], r["amplitude"], "true" if r["detectable"] else "false"]
-                for r in sweep]
-        out.write_csv("tradeoff.csv", ["d", "advance", "amplitude", "detectable"], rows)
-        feasible = [r["d"] for r in sweep if r["advance"] > 0 and r["detectable"]]
+        d, detectable = sweep["d"], sweep["detectable"]
+        rows = zip(d.tolist(), sweep["advance"].tolist(), sweep["amplitude"].tolist(),
+                   np.where(detectable, "true", "false").tolist())
+        out.write_csv("tradeoff.csv", ["d", "advance", "amplitude", "detectable"], list(rows))
+        feasible = d[(sweep["advance"] > 0) & detectable]
         out.add_result("feasibility_window", {
-            "empty": len(feasible) == 0,
-            "d_min": min(feasible) if feasible else None,
-            "d_max": max(feasible) if feasible else None,
+            "empty": feasible.size == 0,
+            "d_min": float(feasible.min()) if feasible.size else None,
+            "d_max": float(feasible.max()) if feasible.size else None,
         })
 
 
@@ -336,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="both", choices=["csv", "json", "both"])
         p.add_argument("--force", action="store_true",
                        help="allow overwriting existing output files")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="accepted for compatibility; no effect")
+        p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)  # no effect
 
     p = sub.add_parser("stationary", help="barrier/threshold solutions and flux")
     common(p)

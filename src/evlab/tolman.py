@@ -19,7 +19,7 @@ from .numcore import NATURAL_UNITS, UnitSystem
 
 @dataclass(frozen=True)
 class Event:
-    """A spacetime point (t, x)."""
+    """A spacetime point (t, x); t and x may be arrays of one shape."""
 
     t: float
     x: float
@@ -44,7 +44,7 @@ class SignalLeg:
     """One hop of the relay: emission event, propagation speed (may exceed
     c), and the evanescent barrier it crosses (kappa, width) for the
     attenuation bookkeeping. The barrier width doubles as the travel
-    distance of the hop."""
+    distance of the hop, and may be an array of widths."""
 
     speed: float
     emit: Event
@@ -55,13 +55,13 @@ class SignalLeg:
         # Written so that NaN fails them.
         if not self.speed > 0:
             raise ValueError(f"signal speed must be positive, got speed={self.speed}")
-        if not (self.barrier_kappa >= 0 and self.barrier_width >= 0):
+        if not (self.barrier_kappa >= 0 and np.all(self.barrier_width >= 0)):
             raise ValueError("barrier parameters must be non-negative, got "
                              f"kappa={self.barrier_kappa}, width={self.barrier_width}")
 
     @property
-    def amplitude_factor(self) -> float:
-        return math.exp(-self.barrier_kappa * self.barrier_width)
+    def amplitude_factor(self):
+        return np.exp(-self.barrier_kappa * self.barrier_width)
 
 
 def lorentz(e: Event, b: Boost, units: UnitSystem = NATURAL_UNITS) -> Event:
@@ -123,26 +123,31 @@ def round_trip(
     Returns the lab arrival event, the time advance
     (t_emit(lab) - t_arrival(lab); positive means the reply precedes the
     original emission), the combined attenuation amplitude, and the
-    causal-loop flag.
+    causal-loop flag. Array barrier widths broadcast: each entry is
+    computed exactly as a scalar call with that width.
     """
     if not reply_delay >= 0:
         raise ValueError(f"reply_delay must be non-negative, got reply_delay={reply_delay}")
     boost = Boost(frame_V)
     boost.gamma(units)  # validates |frame_V| < c
-    d1 = leg1.barrier_width
-    if d1 <= 0 or leg2.barrier_width <= 0:
+    d1, d2 = leg1.barrier_width, leg2.barrier_width
+    if not (np.all(d1 > 0) and np.all(d2 > 0)):
         raise ValueError("both legs need a positive travel distance")
-    # Leg 1 in the lab: emit -> exit at the far side of the first barrier.
-    exit1 = Event(t=leg1.emit.t + d1 / leg1.speed, x=leg1.emit.x + d1)
-    # Hand over to S, wait there, send the reply backward at leg2.speed in S.
-    handover = lorentz(exit1, boost, units)
-    d2 = leg2.barrier_width
-    arrival_S = Event(
-        t=handover.t + reply_delay + d2 / leg2.speed, x=handover.x - d2
-    )
-    arrival = inverse_lorentz(arrival_S, boost, units)
-    advance = leg1.emit.t - arrival.t
-    amplitude = leg1.amplitude_factor * leg2.amplitude_factor
+    # Overflow surfaces as a non-finite arrival, named below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Leg 1 in the lab: emit -> exit at the far side of the first barrier.
+        exit1 = Event(t=leg1.emit.t + d1 / leg1.speed, x=leg1.emit.x + d1)
+        # Hand over to S, wait there, send the reply backward at leg2.speed in S.
+        handover = lorentz(exit1, boost, units)
+        arrival_S = Event(t=handover.t + reply_delay + d2 / leg2.speed, x=handover.x - d2)
+        arrival = inverse_lorentz(arrival_S, boost, units)
+        advance = leg1.emit.t - arrival.t
+        amplitude = leg1.amplitude_factor * leg2.amplitude_factor
+    finite = np.isfinite(arrival.t) & np.isfinite(arrival.x) & np.isfinite(advance)
+    if not np.all(finite):
+        i = np.argmin(finite)
+        w1, w2 = (np.broadcast_to(w, np.shape(finite)).flat[i] for w in (d1, d2))
+        raise ValueError(f"round trip leaves the double range at barrier widths d1={w1}, d2={w2}")
     return {
         "arrival": arrival,
         "advance": advance,
@@ -158,13 +163,14 @@ def tradeoff_sweep(
     d_range,
     detector_threshold: float,
     units: UnitSystem = NATURAL_UNITS,
-) -> list:
+) -> dict:
     """Attenuation-vs-advance tradeoff over barrier sizes.
 
     For each d both legs cross a barrier of decay kappa and width d at
-    v_signal, so the amplitude is exp(-2 kappa d). A row is feasible when
+    v_signal, so the amplitude is exp(-2 kappa d). A width is feasible when
     the loop closes (advance > 0) *and* the attenuated signal still clears
-    the detector threshold.
+    the detector threshold. Returns columns "d", "advance", "amplitude" and
+    "detectable", one entry per width, from one round_trip call.
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
@@ -172,27 +178,14 @@ def tradeoff_sweep(
         raise ValueError("v_signal must exceed c")
     if not 0 < detector_threshold <= 1:
         raise ValueError("detector_threshold must lie in (0, 1]")
-    d_range = list(d_range)
-    if not d_range:
+    d = np.asarray(d_range, dtype=float)
+    if not d.size:
         raise ValueError("empty d_range")
-    rows = []
-    for d in d_range:
-        if not d > 0:
-            raise ValueError("barrier widths must be positive")
-        result = round_trip(
-            SignalLeg(speed=v_signal, emit=Event(0.0, 0.0),
-                      barrier_kappa=kappa, barrier_width=d),
-            0.0,
-            SignalLeg(speed=v_signal, emit=Event(0.0, 0.0),
-                      barrier_kappa=kappa, barrier_width=d),
-            frame_V,
-            units,
-        )
-        amplitude = result["amplitude"]
-        rows.append({
-            "d": d,
-            "advance": result["advance"],
-            "amplitude": amplitude,
-            "detectable": amplitude >= detector_threshold,
-        })
-    return rows
+    leg = SignalLeg(speed=v_signal, emit=Event(0.0, 0.0), barrier_kappa=kappa, barrier_width=d)
+    result = round_trip(leg, 0.0, leg, frame_V, units)
+    return {
+        "d": d,
+        "advance": result["advance"],
+        "amplitude": result["amplitude"],
+        "detectable": result["amplitude"] >= detector_threshold,
+    }

@@ -302,8 +302,8 @@ def test_criterion_13_tolman():
     result = tolman.round_trip(leg, 0.0, leg, 0.9)
     assert abs(result["amplitude"] - 4.5400e-5) < 1e-9
     # A perfect detector (threshold 1) leaves no feasible barrier width.
-    rows = tolman.tradeoff_sweep(1.0, 5.0, 0.9, np.linspace(0.1, 5.0, 25), 1.0)
-    assert not any(r["detectable"] and r["advance"] > 0 for r in rows)
+    cols = tolman.tradeoff_sweep(1.0, 5.0, 0.9, np.linspace(0.1, 5.0, 25), 1.0)
+    assert not np.any(cols["detectable"] & (cols["advance"] > 0))
 
 
 @criterion(14, "deterministic command-line output")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import evlab
-from evlab import cli, stationary, ttime
+from evlab import cli, stationary, tolman, ttime
 from evlab.cli import run
 from test_ttime import buttiker_dwell_time, buttiker_phase_time
 
@@ -101,6 +101,14 @@ class TestExitCodes:
         (["tolman", "--threshold", "nan", "--sweep-d", "1:2:3"], "threshold=nan"),
         (["spectrum", "--gauss", "inf", "0.5"], "omega0=inf"),
         (["spectrum", "--gauss", "10", "inf"], "sigma=inf"),
+        # Sweep bounds must be finite; the message quotes the spec.
+        (["stationary", "--u0", "2", "--sweep-e", "0.1:inf:3"], "'0.1:inf:3'"),
+        (["ttime", "--u0", "2", "--sweep-e", "nan:0.5:3"], "'nan:0.5:3'"),
+        (["tolman", "--sweep-d", "1:inf:3"], "'1:inf:3'"),
+        (["stationary", "--u0", "2", "--sweep-e", "-1e308:1e308:3"], "'-1e308:1e308:3'"),
+        # The round trip leaves the double range: named, with no RuntimeWarning.
+        (["tolman", "--sweep-d", "1:1e308:3", "--v-signal", "10", "--v-frame", "0.9"],
+         "d1=1e+308"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -286,6 +294,7 @@ class TestSubcommands:
         (stationary, "barrier_solution", ["stationary", "--u0", "2", "--e", "1"]),
         (ttime, "report", ["ttime", "--u0", "2", "--sweep-e", "0.1:1.2:25"]),
         (ttime, "report", ["ttime", "--u0", "2", "--e", "0.5"]),
+        (tolman, "round_trip", ["tolman", "--sweep-d", "0.5:3:50"]),
     ])
     def test_one_library_call_per_run(self, tmp_path, monkeypatch, module, name, argv):
         calls = []
@@ -376,6 +385,24 @@ class TestSubcommands:
         summary = load_summary(tmp_path, "tolman")
         assert summary["outputs"]["interval"] == "spacelike"
         assert summary["outputs"]["ordering"] == ordering
+
+    def test_tolman_summary_records_its_inputs(self, tmp_path, monkeypatch):
+        # Both pairs are spacelike and b_first: only the inputs tell the runs apart.
+        summaries = []
+        for dx_over_dt in ("1e200", "3e200"):
+            here = tmp_path / dx_over_dt
+            assert invoke(["tolman", "--dx-over-dt", dx_over_dt, "--output-dir", str(here)],
+                          tmp_path, monkeypatch) == 0
+            summaries.append((here / "tolman_summary.json").read_bytes())
+        assert summaries[0] != summaries[1]
+        inputs = json.loads(summaries[0])["inputs"]
+        assert inputs == {"v_signal": 2.0, "v_frame": 0.6, "dx_over_dt": 1e200,
+                          "kappa": 1.0, "threshold": 0.01, "sweep_d": None}
+
+    def test_jobs_is_hidden_with_a_constant_default(self, capsys):
+        assert cli.build_parser().parse_args(["stationary", "--u0", "1"]).jobs == 1
+        assert run(["stationary", "--help"]) == 0
+        assert "--jobs" not in capsys.readouterr().out
 
 
 def fresh_process_outputs(deck, tmp_path):

@@ -145,6 +145,22 @@ class TestRoundTrip:
         result = round_trip(leg1, 0.0, leg2, frame_V=0.5)
         assert result["amplitude"] == pytest.approx(math.exp(-5.0), rel=1e-12)
 
+    def test_array_width_broadcasts(self):
+        d = np.array([0.5, 1.0, 2.0])
+        leg = SignalLeg(5.0, Event(0.0, 0.0), barrier_kappa=1.0, barrier_width=d)
+        result = round_trip(leg, 0.0, leg, frame_V=0.9)
+        assert result["arrival"].t.shape == result["advance"].shape == (3,)
+        for i, w in enumerate(d.tolist()):
+            one = SignalLeg(5.0, Event(0.0, 0.0), barrier_kappa=1.0, barrier_width=w)
+            expected = round_trip(one, 0.0, one, frame_V=0.9)
+            assert result["arrival"].x[i] == expected["arrival"].x
+            assert result["advance"][i] == expected["advance"]
+            assert result["amplitude"][i] == expected["amplitude"]
+            assert result["causal_loop"][i] == expected["causal_loop"]
+        with pytest.raises(ValueError, match="positive travel distance"):
+            round_trip(SignalLeg(5.0, Event(0.0, 0.0), barrier_width=np.array([1.0, 0.0])),
+                       0.0, leg, 0.9)
+
     def test_validation(self):
         leg = SignalLeg(2.0, Event(0.0, 0.0), barrier_width=1.0)
         with pytest.raises(ValueError):
@@ -169,16 +185,41 @@ class TestRoundTrip:
 
 class TestTradeoffSweep:
     def test_amplitude_falls_as_advance_grows(self):
-        rows = tradeoff_sweep(1.0, 5.0, 0.9, np.linspace(0.5, 5.0, 10), 0.01)
-        amps = [r["amplitude"] for r in rows]
-        advances = [r["advance"] for r in rows]
+        cols = tradeoff_sweep(1.0, 5.0, 0.9, np.linspace(0.5, 5.0, 10), 0.01)
+        amps = cols["amplitude"].tolist()
+        advances = cols["advance"].tolist()
         assert all(a > b for a, b in zip(amps, amps[1:]))
         assert all(b > a for a, b in zip(advances, advances[1:]))
-        assert rows[0]["amplitude"] == pytest.approx(math.exp(-1.0))
+        assert cols["amplitude"][0] == pytest.approx(math.exp(-1.0))
 
     def test_perfect_detector_has_empty_window(self):
-        rows = tradeoff_sweep(5.0, 5.0, 0.9, np.linspace(0.5, 5.0, 10), 1.0)
-        assert not any(r["detectable"] and r["advance"] > 0 for r in rows)
+        cols = tradeoff_sweep(5.0, 5.0, 0.9, np.linspace(0.5, 5.0, 10), 1.0)
+        assert not np.any(cols["detectable"] & (cols["advance"] > 0))
+
+    def test_columns_equal_scalar_round_trips_bitwise(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            kappa, v, V = rng.uniform(0.01, 5.0), rng.uniform(1.01, 20.0), rng.uniform(-0.99, 0.99)
+            threshold = 10.0 ** rng.uniform(-6.0, 0.0)
+            d = 10.0 ** rng.uniform(-3.0, 3.0, size=50)
+            cols = tradeoff_sweep(kappa, v, V, d, threshold)
+            scalar = []
+            for w in d.tolist():
+                leg = SignalLeg(v, Event(0.0, 0.0), barrier_kappa=kappa, barrier_width=w)
+                scalar.append(round_trip(leg, 0.0, leg, V))
+            for key in ("advance", "amplitude"):
+                expected = np.array([r[key] for r in scalar], dtype=float)
+                assert cols[key].tobytes() == expected.tobytes(), key
+            assert cols["d"].tobytes() == d.tobytes()
+            assert cols["detectable"].tolist() == [r["amplitude"] >= threshold for r in scalar]
+
+    def test_overflowing_width_is_named(self):
+        # x' = gamma (x - V t) leaves the double range for d = 1e308.
+        with pytest.raises(ValueError, match="1e[+]308"):
+            tradeoff_sweep(1.0, 10.0, 0.9, np.linspace(1.0, 1e308, 3), 0.01)
+        leg = SignalLeg(10.0, Event(0.0, 0.0), barrier_width=1e308)
+        with pytest.raises(ValueError, match="1e[+]308"):
+            round_trip(leg, 0.0, leg, 0.9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
