@@ -94,6 +94,14 @@ class WavePacket:
         return float(self.abs2().sum() * self.grid.dx)
 
 
+def _require_all(ok, values, message: str, error=ValueError):
+    """Raise error(message) unless ok holds everywhere, its {} filled with the first entry
+    of values where ok fails; write ok as a test NaN fails (x > 0, never not x <= 0)."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise error(message.format(np.broadcast_to(values, ok.shape)[~ok][0]))
+
+
 def principal_sqrt(z: complex) -> complex:
     """Complex square root with Re(sqrt) >= 0.
 

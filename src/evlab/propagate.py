@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
+from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, _require_all
 
 
 class BoundaryContactError(RuntimeError):
@@ -46,8 +46,7 @@ class MediumProfile:
         kc = np.asarray(self.cutoff_kc, dtype=float)
         if kc.shape != (self.grid.count,):
             raise ValueError("cutoff_kc length must match grid count")
-        if not np.all(kc >= 0):
-            raise ValueError(f"cutoff_kc must be non-negative, got {kc[~(kc >= 0)][0]}")
+        _require_all(kc >= 0, kc, "cutoff_kc must be non-negative, got {}")
         kc.setflags(write=False)
         object.__setattr__(self, "cutoff_kc", kc)
 
@@ -273,8 +272,7 @@ def evolve_schrodinger(
 
     record = _recorded(grid, dt, steps, record_every, fields(initial.values.copy()))
     # Drift is checked on the recorded snapshots: the steps do no extra work.
-    norm0, *norms = [np.sqrt(np.sum(np.abs(wp.values) ** 2) * grid.dx)
-                     for wp in record.snapshots]
+    norm0, *norms = [math.sqrt(wp.energy()) for wp in record.snapshots]
     for t, norm in zip(record.times[1:], norms):
         drift = abs(norm - norm0) / norm0
         if not drift <= norm_tol:

@@ -1,6 +1,6 @@
-"""Wave-packet spectral analysis: the box (ground-mode) state, its Fourier
-spectrum and tail probability, position/momentum moments, the Lorentzian
-line shape, and the spread of the energy released from a resonator.
+"""Wave-packet spectral analysis: the box (ground-mode) state, its Fourier spectrum,
+moments and tail probability (quadrature below SERIES_CUT, an exact series above), the
+Lorentzian line shape, and the spread of the energy released from a resonator.
 
 The central distinction surfaced here is frequency *band* (total support of
 a spectrum, often infinite) versus frequency *indeterminacy* (standard
@@ -9,6 +9,7 @@ deviation, finite whenever high frequencies decay fast enough).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -17,14 +18,16 @@ import numpy as np
 
 from .numcore import NATURAL_UNITS, UnitSystem, integrate
 
-# Printed asymptotic tail coefficient carried alongside the quadrature value;
-# desk-scale quadrature gives 4*pi/3 instead.
+# Printed asymptotic tail coefficient carried alongside the exact value, whose
+# leading term is 2 * (2 pi / 3) = 4 pi / 3 instead.
 PRINTED_TAIL_COEFFICIENT = 8.0 * math.pi / 3.0
 ORACLE_TAIL_COEFFICIENT = 4.0 * math.pi / 3.0
 TAIL_COEFFICIENT_WARNING = (
     "tail-probability asymptotic: the printed coefficient (8/3)*pi disagrees "
     "with the quadrature-converged constant (4/3)*pi; both are reported"
 )
+# Moments switch from quadrature to the exact tail series, at roundoff from u ~ 50 up.
+SERIES_CUT = 20.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -91,60 +94,55 @@ def box_spectrum(k, a: float):
     return out if out.shape else float(out)
 
 
-def _tail_integral_abs2(K: float) -> float:
-    """Analytic estimate of int_K^inf |F(u; 1)|^2 du using |F|^2 ~ (2 pi / u^4)
-    (1 + cos u)(1 + 2 pi^2/u^2); as products, the powers of a huge K cannot overflow."""
-    c0, K3 = 2.0 * math.pi, K * K * K
-    return (c0 / 3.0 / K3 - c0 * math.sin(K) / (K3 * K)
-            + c0 * (2.0 * math.pi**2) / (5.0 * (K3 * K * K)))
+def _tail_moment(K: float, m: int) -> float:
+    """int_K^inf u^(2m) |F(u; 1)|^2 du, m in {0, 1}, exact to roundoff for K >= SERIES_CUT:
+    |F|^2 = 2 pi (1 + cos u) / (u^2 - pi^2)^2, u^(2m) / (u^2 - pi^2)^2 = sum_n (n+1) pi^(2n)
+    u^-p with p = 4 + 2n - 2m; each u^-p integrates exactly, each cos(u) u^-p by parts to
+    Re[e^(iK) sum_j i (-i)^j (p)_j K^(-p-j)] (Bender & Orszag 1978, sec. 6.3)."""
+    n, j = np.arange(8)[:, None], np.arange(32)
+    p = 4.0 + 2.0 * n - 2.0 * m
+    weight = (n + 1.0) * (math.pi / K) ** (2.0 * n)  # term n of the sum over K^(2m-4)
+    rising = np.cumprod(np.where(j == 0, 1.0, (p + j - 1.0) / K), axis=1)  # (p)_j / K^j
+    by_parts = (1j * cmath.exp(1j * K) * (weight * rising * (-1j) ** j).sum()).real / K
+    return float(2.0 * math.pi * K ** (2 * m - 3) * ((weight / (p - 1.0)).sum() + by_parts))
 
 
-def _tail_integral_k2abs2(K: float) -> float:
-    """Analytic estimate of int_K^inf u^2 |F(u; 1)|^2 du."""
-    c0, K3 = 2.0 * math.pi, K * K * K
-    osc = -c0 * math.sin(K) / (K * K) + 2.0 * c0 * math.cos(K) / K3
-    corr = c0 * (2.0 * math.pi**2) * (1.0 / (3.0 * K3) - math.sin(K) / (K3 * K))
-    return c0 / K + osc + corr
+def _moment(m: int, lo: float) -> float:
+    """2 int_lo^inf u^(2m) |F(u; 1)|^2 du: quadrature below SERIES_CUT, the series above.
+    Every result exceeds about 1/SERIES_CUT^3: that integrand scale makes tol relative."""
+    if lo >= SERIES_CUT:
+        return 2.0 * _tail_moment(lo, m)
+    scale = SERIES_CUT**3
+    body = integrate(lambda u: scale * (u**m * box_spectrum(u, 1.0)) ** 2, lo, SERIES_CUT, 1e-12)
+    return 2.0 * (body / scale + _tail_moment(SERIES_CUT, m))
 
 
 def box_parseval(a: float) -> float:
-    """Quadrature + analytic tail: int |F|^2 dk = int |F(u; 1)|^2 du = 1, with u = a k."""
+    """int |F|^2 dk = int |F(u; 1)|^2 du = 1, with u = a k."""
     BoxState(a)
-    u_cut = 200.0 * math.pi
-    body = 2.0 * integrate(lambda u: box_spectrum(u, 1.0) ** 2, 0.0, u_cut, 1e-10)
-    return body + 2.0 * _tail_integral_abs2(u_cut)
+    return _moment(0, 0.0)
 
 
 def box_k2_spectral(a: float) -> float:
-    """Quadrature + analytic tail: int k^2 |F|^2 dk = int u^2 |F(u; 1)|^2 du / a^2 = (pi/a)^2."""
+    """int k^2 |F|^2 dk = int u^2 |F(u; 1)|^2 du / a^2 = (pi/a)^2."""
     BoxState(a)
-    u_cut = 400.0 * math.pi
-    body = 2.0 * integrate(lambda u: (u * box_spectrum(u, 1.0)) ** 2, 0.0, u_cut, 1e-10)
-    return (body + 2.0 * _tail_integral_k2abs2(u_cut)) / a / a
+    return _moment(1, 0.0) / a / a
 
 
 def tail_probability(k_prime: float, a: float) -> dict:
-    """Probability of finding |k| above k_prime, two ways.
-
-    Returns {'exact': quadrature + analytic tail, 'asymptotic': the printed
-    (8/3) pi / (a k')^3 estimate}. The two disagree by a factor of two; the
-    quadrature route is authoritative and the discrepancy is surfaced, not
-    hidden. Both depend on the cut a k' alone, which must exceed pi with a finite cube.
-    """
+    """Probability of finding |k| above k_prime, two ways: {'exact': 2 int_{a k'}^inf
+    |F(u; 1)|^2 du, leading term (4/3) pi / (a k')^3; 'asymptotic': the printed (8/3) pi /
+    (a k')^3}. The exact route is authoritative; the factor-two discrepancy is surfaced,
+    not hidden. Both depend on the cut a k' alone, which must exceed pi with a finite cube."""
     k_a = BoxState(a).k_a
     cut = a * k_prime
     if not cut > math.pi:
         raise ValueError(f"k_prime={k_prime} must exceed k_a={k_a}: the asymptotic "
                          "regime requires k' >> pi/a")
-    scale = cut * cut * cut  # the tail is ~1/scale << 1: make tol relative
+    scale = cut * cut * cut
     if scale == math.inf:
         raise ValueError(f"(a*k_prime)^3 overflows at a={a}, k_prime={k_prime}")
-    # Integrate in v = u - cut, so the interval keeps its width at any cut.
-    body = 2.0 * integrate(
-        lambda v: scale * box_spectrum(cut + v, 1.0) ** 2, 0.0, 400.0 * math.pi, 1e-12)
-    exact = body / scale + 2.0 * _tail_integral_abs2(cut + 400.0 * math.pi)
-    asymptotic = PRINTED_TAIL_COEFFICIENT / scale
-    return {"exact": exact, "asymptotic": asymptotic}
+    return {"exact": _moment(0, cut), "asymptotic": PRINTED_TAIL_COEFFICIENT / scale}
 
 
 def box_moments(a: float) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, UnitSystem, principal_sqrt
+from .numcore import NATURAL_UNITS, UnitSystem, _require_all, principal_sqrt
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,8 @@ class StationarySolution:
 def _wavenumbers(E, U0: float, m: float, units: UnitSystem):
     """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array);
     raises ValueError if any E lies outside, NaN included."""
-    if not np.all((E > 0) & (E < U0)):
-        raise ValueError(
-            f"E={E} is not inside 0 < E < U0={U0}; "
-            "this solver covers only the evanescent (tunneling) regime"
-        )
+    _require_all((E > 0) & (E < U0), E, f"E={{}} is not inside 0 < E < U0={U0}; "
+                 "this solver covers only the evanescent (tunneling) regime")
     return np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, UnitSystem
+from .numcore import NATURAL_UNITS, UnitSystem, _require_all
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,10 @@ class SignalLeg:
         # Written so that NaN fails them.
         if not self.speed > 0:
             raise ValueError(f"signal speed must be positive, got speed={self.speed}")
-        if not (self.barrier_kappa >= 0 and np.all(self.barrier_width >= 0)):
-            raise ValueError("barrier parameters must be non-negative, got "
-                             f"kappa={self.barrier_kappa}, width={self.barrier_width}")
+        _require_all(self.barrier_kappa >= 0, self.barrier_kappa,
+                     "barrier kappa must be non-negative, got kappa={}")
+        _require_all(self.barrier_width >= 0, self.barrier_width,
+                     "barrier width must be non-negative, got width={}")
 
     @property
     def amplitude_factor(self):
@@ -131,8 +132,8 @@ def round_trip(
     boost = Boost(frame_V)
     boost.gamma(units)  # validates |frame_V| < c
     d1, d2 = leg1.barrier_width, leg2.barrier_width
-    if not (np.all(d1 > 0) and np.all(d2 > 0)):
-        raise ValueError("both legs need a positive travel distance")
+    _require_all(d1 > 0, d1, "both legs need a positive travel distance, got d1={}")
+    _require_all(d2 > 0, d2, "both legs need a positive travel distance, got d2={}")
     # Overflow surfaces as a non-finite arrival, named below.
     with np.errstate(over="ignore", invalid="ignore"):
         # Leg 1 in the lab: emit -> exit at the far side of the first barrier.

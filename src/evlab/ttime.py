@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, UnitSystem, integrate
+from .numcore import NATURAL_UNITS, UnitSystem, _require_all, integrate
 from .stationary import BarrierSpec, _phase_rate, _wavenumbers, barrier_solution
 
 
@@ -39,19 +39,14 @@ class TunnelingTimeReport:
 
 def wave_period(E, units: UnitSystem = NATURAL_UNITS):
     """Period T = 1/nu = 2 pi hbar / E of the wave with energy E."""
-    if not np.all(E > 0):
-        raise ValueError("energy must be positive")
+    _require_all(E > 0, E, "energy must be positive, got E={}")
     return 2.0 * math.pi * units.hbar / E
 
 
 def _check_tunneling_range(E, U0: float):
-    if not np.all(E > 0):
-        raise ValueError(f"energy must be positive, got E={E}")
-    if not np.all(E < U0):
-        raise PathologicalRegimeError(
-            f"E={E} >= U0={U0}: pathological regime, the closed form yields "
-            "negative or imaginary time above the barrier"
-        )
+    _require_all(E > 0, E, "energy must be positive, got E={}")
+    _require_all(E < U0, E, f"E={{}} >= U0={U0}: pathological regime, the closed form "
+                 "yields negative or imaginary time above the barrier", PathologicalRegimeError)
 
 
 def esposito_time(E, U0: float, units: UnitSystem = NATURAL_UNITS):

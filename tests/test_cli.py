@@ -109,6 +109,11 @@ class TestExitCodes:
         # The round trip leaves the double range: named, with no RuntimeWarning.
         (["tolman", "--sweep-d", "1:1e308:3", "--v-signal", "10", "--v-frame", "0.9"],
          "d1=1e+308"),
+        # A sweep names its first bad entry, not the whole array.
+        (["tolman", "--sweep-d=-1:2:5000"], "width=-1.0"),
+        (["tolman", "--sweep-d=0:2:5000"], "d1=0.0"),
+        (["stationary", "--u0", "2", "--sweep-e", "0:1:5000"], "E=0.0 is not inside"),
+        (["ttime", "--u0", "2", "--sweep-e", "0:0.9:50"], "positive, got E=0.0"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1

@@ -10,6 +10,7 @@ from evlab.numcore import integrate
 from evlab.spectral import (
     ORACLE_TAIL_COEFFICIENT,
     PRINTED_TAIL_COEFFICIENT,
+    SERIES_CUT,
     TAIL_COEFFICIENT_WARNING,
     BoxState,
     LineShape,
@@ -21,6 +22,7 @@ from evlab.spectral import (
     lorentzian_density,
     lorentzian_norm,
     released_energy_spread,
+    _tail_moment,
     tail_probability,
 )
 
@@ -91,11 +93,11 @@ class TestBoxSpectrum:
 class TestParsevalAndMoments:
     def test_parseval(self):
         widths = (*BOX_WIDTHS, 2.5)
-        assert [box_parseval(a) for a in widths] == pytest.approx([1.0] * len(widths), abs=1e-7)
+        assert [box_parseval(a) for a in widths] == pytest.approx([1.0] * len(widths), abs=1e-15)
 
     def test_k2_spectral_equals_ground_mode_k2(self):
-        assert [box_k2_spectral(a) for a in BOX_WIDTHS] == pytest.approx(
-            [(math.pi / a) ** 2 for a in BOX_WIDTHS], rel=1e-6, abs=0.0)
+        assert [box_k2_spectral(a) * a * a / math.pi**2 for a in BOX_WIDTHS] == pytest.approx(
+            [1.0] * len(BOX_WIDTHS), abs=1e-15)
 
     def test_moments(self):
         moments = [box_moments(a) for a in BOX_WIDTHS]
@@ -121,7 +123,35 @@ class TestParsevalAndMoments:
         assert m["delta_x"] * m["delta_k"] > 0.5
 
 
+# int_K^inf u^(2m) |F(u; 1)|^2 du from the closed form in Si and Ci, evaluated to 60 digits.
+TAIL_MOMENTS = [
+    (20.0 * math.pi, 0, 8.494493684366577e-06),
+    (20.0 * math.pi, 1, 0.10021805594987561),
+    (400.0 * math.pi, 0, 1.0554449323414829e-09),
+    (400.0 * math.pi, 1, 0.005000027166134692),
+    (1e5, 0, 2.0943928561988082e-15),
+    (1e5, 1, 6.283183063894698e-05),
+]
+
+
 class TestTailProbability:
+    @pytest.mark.parametrize("K, m, closed_form", TAIL_MOMENTS)
+    def test_tail_series_meets_closed_form(self, K, m, closed_form):
+        assert _tail_moment(K, m) == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ak, closed_form", [(4.0, 0.18367600012716184),
+                                                 (628.3, 1.689087231910453e-08)])
+    def test_exact_meets_closed_form(self, ak, closed_form):
+        # Below SERIES_CUT (quadrature plus the series) and above it (the series alone).
+        exact = tail_probability(ak, 1.0)["exact"]
+        assert exact == pytest.approx(closed_form, rel=1e-14, abs=0.0)
+
+    def test_exact_is_continuous_across_series_cut(self):
+        below = tail_probability(np.nextafter(SERIES_CUT, 0.0), 1.0)["exact"]
+        above = tail_probability(SERIES_CUT, 1.0)["exact"]
+        # d ln P / d ln cut = -6 here, so one ulp of cut moves P by about 1e-15.
+        assert below == pytest.approx(above, rel=1e-14, abs=0.0)
+
     def test_exact_converges_to_oracle_coefficient(self):
         a = 1.0
         for ak in (100.0 * math.pi, 200.0 * math.pi):
@@ -130,8 +160,8 @@ class TestTailProbability:
             assert coeff == pytest.approx(ORACLE_TAIL_COEFFICIENT, rel=0.05)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("ak", [60.0, 300.0, 600.0, 656.7, 700.0, 240.0 * math.pi,
-                                    856.3, 900.0])
+    @pytest.mark.parametrize("ak", [4.0, 10.0, 50.0, 60.0, 300.0, 600.0, 656.7, 700.0,
+                                    240.0 * math.pi, 856.3, 900.0])
     def test_matches_fourier_integral_oracle(self, a, ak):
         # QUADPACK's Fourier-integral routine on [k', inf) of
         # |F|^2 = 2 pi a (1 + cos a k) / (pi^2 - a^2 k^2)^2; its own error is ~1e-7.
@@ -153,7 +183,7 @@ class TestTailProbability:
     def test_huge_cut_meets_oracle_coefficient(self, ak):
         # The oscillating corrections fall as 1/(a k')^4: (4/3) pi / (a k')^3 is exact here.
         tail = tail_probability(ak, 1.0)
-        assert tail["exact"] == pytest.approx(ORACLE_TAIL_COEFFICIENT / ak**3, rel=1e-12, abs=0.0)
+        assert tail["exact"] == pytest.approx(ORACLE_TAIL_COEFFICIENT / ak**3, rel=1e-14, abs=0.0)
         assert tail["asymptotic"] == pytest.approx(PRINTED_TAIL_COEFFICIENT / ak**3, rel=1e-15)
 
     def test_cube_overflow_is_named(self):

@@ -94,7 +94,7 @@ class TestBarrierSolution:
         # E >= U0 would let it through to NaN amplitudes.
         spec = BarrierSpec(2.0, 1.0)
         for E in (math.nan, np.array([0.5, math.nan, 1.5])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="E=nan is not inside"):
                 barrier_solution(E, spec)
         with pytest.raises(ValueError):
             threshold_solution(math.nan, 2.0)

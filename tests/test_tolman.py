@@ -157,7 +157,7 @@ class TestRoundTrip:
             assert result["advance"][i] == expected["advance"]
             assert result["amplitude"][i] == expected["amplitude"]
             assert result["causal_loop"][i] == expected["causal_loop"]
-        with pytest.raises(ValueError, match="positive travel distance"):
+        with pytest.raises(ValueError, match="positive travel distance, got d1=0.0"):
             round_trip(SignalLeg(5.0, Event(0.0, 0.0), barrier_width=np.array([1.0, 0.0])),
                        0.0, leg, 0.9)
 
@@ -181,6 +181,9 @@ class TestRoundTrip:
             SignalLeg(2.0, Event(0.0, 0.0), barrier_kappa=math.nan, barrier_width=1.0)
         with pytest.raises(ValueError, match="width=nan"):
             SignalLeg(2.0, Event(0.0, 0.0), barrier_width=math.nan)
+        # An array of widths is named by its first bad entry.
+        with pytest.raises(ValueError, match=r"width=nan$"):
+            SignalLeg(2.0, Event(0.0, 0.0), barrier_width=np.array([1.0, math.nan, -1.0]))
 
 
 class TestTradeoffSweep:

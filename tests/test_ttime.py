@@ -222,8 +222,9 @@ class TestReport:
 
     def test_nan_and_nonpositive_energies_raise(self):
         spec = BarrierSpec(2.0, 1.0)
-        for E in (math.nan, np.array([1.0, math.nan]), np.array([1.0, 0.0])):
+        for E, bad in ((math.nan, "E=nan"), (np.array([1.0, math.nan]), "E=nan"),
+                       (np.array([1.0, 0.0]), "E=0.0")):
             for fn in (wave_period, lambda e: phase_time(e, spec),
                        lambda e: dwell_time(e, spec), lambda e: report(e, spec)):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=bad):
                     fn(E)
