@@ -269,6 +269,10 @@ def cmd_propagate(args, out: OutputWriter):
     out.inputs.update({"mode": args.mode, "grid_n": args.grid_n, "dx": args.dx,
                        "steps": args.steps})
     snapshot_dir = out._target("snapshots") if args.snapshots else None  # refused before the run
+    if args.snapshots and args.snapshot_stride < 1:
+        raise ValueError(f"stride must be at least 1, got {args.snapshot_stride}")
+    # The record keeps only the fields the snapshot files are written from.
+    keep_every = args.snapshot_stride if args.snapshots else 0
     # k_c in wave mode; U in Schrodinger mode, where a negative value is a well.
     inside = (x >= args.barrier_start) & (x <= args.barrier_start + args.barrier_width)
     barrier = np.where(inside, args.barrier_kc, 0.0)
@@ -280,6 +284,7 @@ def cmd_propagate(args, out: OutputWriter):
         record = propagate.evolve_wave(
             WavePacket(grid, pulse(x)), profile, args.courant, args.steps,
             initial_prev=pulse(x + shift), units=units, record_every=args.record_every,
+            keep_every=keep_every,
         )
     else:
         psi0 = np.exp(-((x - args.pulse_center) ** 2) / (4.0 * args.pulse_width**2)
@@ -287,7 +292,7 @@ def cmd_propagate(args, out: OutputWriter):
         psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
         record = propagate.evolve_schrodinger(
             WavePacket(grid, psi0), barrier, units.default_mass, args.dt, args.steps,
-            units=units, record_every=args.record_every,
+            units=units, record_every=args.record_every, keep_every=keep_every,
         )
     if args.snapshots:
         # Under --force the run replaces an earlier run's snapshots, not only

@@ -17,6 +17,7 @@ Two solvers live here on purpose:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,13 +54,15 @@ class MediumProfile:
 
 @dataclass(frozen=True)
 class PropagationRecord:
-    """Recorded evolution: aligned times, snapshots, and the front/peak
-    trajectories measured on each snapshot."""
+    """Recorded evolution: the times of the recorded steps with the front and
+    peak measured on each, and the kept fields as `snapshots`, the i-th taken
+    at record index `snapshot_indices[i]` (at times[snapshot_indices[i]])."""
 
     times: np.ndarray
     snapshots: list
     front_positions: np.ndarray
     peak_positions: np.ndarray
+    snapshot_indices: np.ndarray
 
 
 def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
@@ -102,38 +105,64 @@ def peak_position(packet: WavePacket) -> float:
     return _peak(packet.grid, packet.abs2())
 
 
-def _measure(grid: Grid1D, values: np.ndarray, epsilon: float):
+def _measure(grid: Grid1D, values: np.ndarray, epsilon: float, keep: bool, norm: bool):
     # One |psi| of the field as stepped (|x| is bitwise |x + 0j|), whose square
-    # is bitwise WavePacket.abs2(), and one complex copy.
+    # is bitwise WavePacket.abs2(); a complex copy only if kept, and the norm,
+    # bitwise sqrt(WavePacket.energy()), only if asked for.
     amp = np.abs(values)
     try:
         fp = _front(grid, amp, epsilon)
     except ValueError:
         fp = math.nan
-    return WavePacket(grid, np.array(values, dtype=complex)), fp, _peak(grid, amp**2)
+    dens = amp**2
+    return (
+        WavePacket(grid, np.array(values, dtype=complex)) if keep else None,
+        fp,
+        _peak(grid, dens),
+        math.sqrt(float(dens.sum() * grid.dx)) if norm else None,
+    )
 
 
-def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields):
+def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields,
+              keep_every: int = 1, norm_tol: float | None = None):
     """Record step 0, every record_every-th step and the last of `fields`
     (the field at steps 0, 1, ..., steps, which may be one reused buffer) at
-    times n*dt: one WavePacket copy each, with its front (at 1e-10 of the
-    initial peak |psi|) and peak."""
+    times n*dt, each with its front (at 1e-10 of the initial peak |psi|) and
+    peak. Only every keep_every-th record keeps a WavePacket copy of its
+    field (keep_every = 0 keeps none). With norm_tol, a record whose norm
+    drifts from the initial norm by more than norm_tol raises NormDriftError."""
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    if keep_every < 0:
+        raise ValueError(f"keep_every must be at least 0, got {keep_every}")
     psi0 = next(fields)
     amp0 = np.abs(psi0).max()
     if not 0 < amp0 < math.inf:
         raise ValueError(f"initial field must be finite and non-zero, got max |psi| = {amp0}")
     epsilon = 1e-10 * amp0
-    kept, measured = [0], [_measure(grid, psi0, epsilon)]
-    for n, psi in enumerate(fields, start=1):
-        if n % record_every == 0 or n == steps:
-            kept.append(n)
-            measured.append(_measure(grid, psi, epsilon))
-    snapshots, fronts, peaks = zip(*measured)
+    check_norm = norm_tol is not None
+    recorded, snapshots, kept, fronts, peaks = [], [], [], [], []
+    for n, psi in enumerate(itertools.chain([psi0], fields)):
+        if n % record_every and n != steps:
+            continue
+        i = len(recorded)
+        keep = keep_every > 0 and i % keep_every == 0
+        packet, front, peak, norm = _measure(grid, psi, epsilon, keep, check_norm)
+        if check_norm:
+            if i == 0:
+                norm0 = norm
+            elif not (drift := abs(norm - norm0) / norm0) <= norm_tol:
+                raise NormDriftError(f"norm drifted by {drift:.3e} at step {n}")
+        if keep:
+            snapshots.append(packet)
+            kept.append(i)
+        recorded.append(n)
+        fronts.append(front)
+        peaks.append(peak)
     return PropagationRecord(
-        times=np.asarray(kept) * dt, snapshots=list(snapshots),
+        times=np.asarray(recorded) * dt, snapshots=snapshots,
         front_positions=np.asarray(fronts), peak_positions=np.asarray(peaks),
+        snapshot_indices=np.asarray(kept, dtype=int),
     )
 
 
@@ -167,6 +196,7 @@ def evolve_wave(
     initial_prev: np.ndarray | None = None,
     units: UnitSystem = NATURAL_UNITS,
     record_every: int = 1,
+    keep_every: int = 1,
 ) -> PropagationRecord:
     """Leapfrog evolution of the cutoff wave equation.
 
@@ -180,6 +210,10 @@ def evolve_wave(
     keeps the scheme stable at courant = 1 even inside the barrier; the
     update stencil then spreads support exactly one cell per step, so at
     unit Courant the numerical light cone coincides with the physical one.
+
+    Every record_every-th step (and the last) is recorded with its front and
+    peak; only every keep_every-th record keeps its field in `snapshots`, and
+    keep_every = 0 keeps none, so such a run holds O(grid) memory.
     """
     if not 0 < courant <= 1:
         raise ValueError("courant must lie in (0, 1]")
@@ -230,7 +264,7 @@ def evolve_wave(
 
     # Fresh buffers, never the caller's arrays; lap's edge cells stay 0.
     buffers = prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0)
-    return _recorded(grid, dt, steps, record_every, fields(*buffers))
+    return _recorded(grid, dt, steps, record_every, fields(*buffers), keep_every)
 
 
 def evolve_schrodinger(
@@ -242,8 +276,14 @@ def evolve_schrodinger(
     units: UnitSystem = NATURAL_UNITS,
     record_every: int = 1,
     norm_tol: float = 1e-8,
+    keep_every: int = 1,
 ) -> PropagationRecord:
-    """Split-step (Strang) spectral evolution of the Schrodinger equation."""
+    """Split-step (Strang) spectral evolution of the Schrodinger equation.
+
+    Recorded and kept as in evolve_wave. The norm is checked on every
+    recorded step, kept or not: drift beyond norm_tol raises NormDriftError
+    naming the first such step.
+    """
     import scipy.fft  # loaded on first use, so wave-mode runs never pay for it
     if not (0 < mass < math.inf and 0 < dt < math.inf) or steps < 1:
         raise ValueError(f"mass, dt and steps must be positive, got {mass=}, {dt=}, {steps=}")
@@ -270,14 +310,9 @@ def evolve_schrodinger(
             np.multiply(exp_V_half, psi, out=psi)
             yield psi
 
-    record = _recorded(grid, dt, steps, record_every, fields(initial.values.copy()))
-    # Drift is checked on the recorded snapshots: the steps do no extra work.
-    norm0, *norms = [math.sqrt(wp.energy()) for wp in record.snapshots]
-    for t, norm in zip(record.times[1:], norms):
-        drift = abs(norm - norm0) / norm0
-        if not drift <= norm_tol:
-            raise NormDriftError(f"norm drifted by {drift:.3e} at step {round(t / dt)}")
-    return record
+    # Drift is checked on the recorded steps: the steps do no extra work.
+    return _recorded(grid, dt, steps, record_every, fields(initial.values.copy()),
+                     keep_every, norm_tol)
 
 
 def peak_speed(record: PropagationRecord) -> float:
@@ -294,14 +329,17 @@ def peak_speed(record: PropagationRecord) -> float:
 def dump_snapshots_csv(
     record: PropagationRecord, directory, stride: int = 1
 ) -> list:
-    """Write each stride-th snapshot as CSV: x, re, im and WavePacket.abs2(), %.17g."""
+    """Write each kept snapshot whose record index is a multiple of stride as
+    CSV: x, re, im and WavePacket.abs2(), %.17g, named by that index
+    (snapshot_00100.csv is record 100, whatever the record kept)."""
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for idx in range(0, len(record.snapshots), stride):
-        wp = record.snapshots[idx]
+    for idx, wp in zip(record.snapshot_indices.tolist(), record.snapshots):
+        if idx % stride:
+            continue
         rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
         path = directory / f"snapshot_{idx:05d}.csv"
         text = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())

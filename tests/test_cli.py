@@ -369,6 +369,55 @@ class TestSubcommands:
         snaps = sorted((tmp_path / "snapshots").glob("snapshot_*.csv"))
         assert len(snaps) == 3
 
+    @pytest.mark.parametrize("mode", ["wave", "schrodinger"])
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_bad_snapshot_stride_refused_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                         mode, stride):
+        def solver(*args, **kwargs):
+            pytest.fail("the solver ran")
+
+        monkeypatch.setattr(cli.propagate, "evolve_wave", solver)
+        monkeypatch.setattr(cli.propagate, "evolve_schrodinger", solver)
+        args = ["propagate", "--mode", mode, "--snapshots", "--snapshot-stride", stride]
+        assert invoke(args, tmp_path, monkeypatch) == 1
+        assert "stride" in capsys.readouterr().err
+        assert not (tmp_path / "propagate_summary.json").exists()
+        assert not (tmp_path / "snapshots").exists()
+
+    @pytest.mark.parametrize("mode", ["wave", "schrodinger"])
+    @pytest.mark.parametrize("snapshots, kept", [
+        ([], []), (["--snapshots", "--snapshot-stride", "7"], [0, 7, 14, 21, 28, 35]),
+    ])
+    def test_record_keeps_only_the_fields_written(self, tmp_path, monkeypatch, mode,
+                                                  snapshots, kept):
+        records = []
+        for name in ("evolve_wave", "evolve_schrodinger"):
+            def spy(*args, _solver=getattr(cli.propagate, name), **kwargs):
+                records.append(_solver(*args, **kwargs))
+                return records[-1]
+
+            monkeypatch.setattr(cli.propagate, name, spy)
+        args = ["propagate", "--mode", mode, "--steps", "40", "--record-every", "1", *snapshots]
+        assert invoke(args, tmp_path, monkeypatch) == 0
+        (record,) = records
+        assert len(record.times) == 41
+        assert record.snapshot_indices.tolist() == kept
+        assert len(record.snapshots) == len(kept)
+
+    def test_snapshot_stride_names_files_by_record_index(self, tmp_path, monkeypatch):
+        args = ["propagate", "--steps", "40", "--record-every", "1", "--snapshots"]
+        assert invoke(args + ["--output-dir", "all"], tmp_path, monkeypatch) == 0
+        assert invoke(args + ["--snapshot-stride", "7", "--output-dir", "s7"],
+                      tmp_path, monkeypatch) == 0
+        names = [f"snapshot_{i:05d}.csv" for i in range(0, 36, 7)]
+        assert sorted(p.name for p in (tmp_path / "s7" / "snapshots").iterdir()) == names
+        assert load_summary(tmp_path / "s7", "propagate")["outputs"]["snapshots"] == names
+        for name in names:
+            written = (tmp_path / "s7" / "snapshots" / name).read_bytes()
+            assert written == (tmp_path / "all" / "snapshots" / name).read_bytes()
+        assert ((tmp_path / "s7" / "trajectory.csv").read_bytes()
+                == (tmp_path / "all" / "trajectory.csv").read_bytes())
+
     def test_tolman_ordering_and_sweep(self, tmp_path, monkeypatch):
         code = invoke(
             ["tolman", "--v-signal", "5.0", "--v-frame", "0.9",

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def smooth_bump(x, center, width, k0=0.0):
 
 
 def make_run(grid_n=1024, dx=0.05, center=-10.0, width=4.0, k0=2.0, kc_val=0.0,
-             barrier=(0.0, 1.5), courant=1.0, steps=200, record_every=4):
+             barrier=(0.0, 1.5), courant=1.0, steps=200, record_every=4, keep_every=1):
     grid = Grid1D(-grid_n * dx / 2.0, dx, grid_n)
     x = grid.points()
     kc = np.zeros(grid_n)
@@ -45,7 +46,7 @@ def make_run(grid_n=1024, dx=0.05, center=-10.0, width=4.0, k0=2.0, kc_val=0.0,
     prev = smooth_bump(x + courant * dx, center, width, k0)  # right mover
     record = evolve_wave(
         WavePacket(grid, psi0), profile, courant, steps,
-        initial_prev=prev, record_every=record_every,
+        initial_prev=prev, record_every=record_every, keep_every=keep_every,
     )
     return grid, record
 
@@ -316,19 +317,21 @@ class TestSchrodingerSolver:
             evolve_schrodinger(wp, np.zeros(32), 1.0, 0.01, 10)
 
 
-def schrodinger_run(steps=50, record_every=1, norm_tol=1e-8):
+def schrodinger_run(steps=50, record_every=1, norm_tol=1e-8, keep_every=1):
     grid = Grid1D(-25.6, 0.1, 512)
     x = grid.points()
     psi0 = np.exp(-((x + 5.0) ** 2) / 4.0 + 2j * x)
     psi0 /= math.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
     U = np.where((x >= 0.0) & (x <= 1.0), 3.0, 0.0)
     return evolve_schrodinger(WavePacket(grid, psi0), U, 1.0, dt=0.01, steps=steps,
-                              record_every=record_every, norm_tol=norm_tol)
+                              record_every=record_every, norm_tol=norm_tol,
+                              keep_every=keep_every)
 
 
 RUNS = {
-    "wave": lambda steps, every: make_run(kc_val=3.0, steps=steps, record_every=every)[1],
-    "schrodinger": lambda steps, every: schrodinger_run(steps, every),
+    "wave": lambda steps, every, keep=1: make_run(kc_val=3.0, steps=steps, record_every=every,
+                                                  keep_every=keep)[1],
+    "schrodinger": lambda steps, every, keep=1: schrodinger_run(steps, every, keep_every=keep),
 }
 
 
@@ -368,6 +371,49 @@ class TestRecorder:
         first = next(i for i, d in enumerate(drifts) if d > tol)
         with pytest.raises(NormDriftError, match=rf"at step {4 * first}$"):
             schrodinger_run(steps=40, record_every=4, norm_tol=tol)
+        # Steps whose fields are not kept are checked all the same.
+        with pytest.raises(NormDriftError, match=rf"at step {4 * first}$"):
+            schrodinger_run(steps=40, record_every=4, norm_tol=tol, keep_every=0)
+
+    @pytest.mark.parametrize("solver", sorted(RUNS))
+    @pytest.mark.parametrize("keep", [0, 1, 3])
+    def test_kept_fields_are_the_full_records_fields(self, solver, keep):
+        full, record = RUNS[solver](50, 3), RUNS[solver](50, 3, keep)  # 18 records
+        for name in ("times", "front_positions", "peak_positions"):
+            assert getattr(record, name).tobytes() == getattr(full, name).tobytes()
+        expected = list(range(0, 18, keep)) if keep else []
+        assert record.snapshot_indices.tolist() == expected
+        assert len(record.snapshots) == len(expected)
+        for wp, i in zip(record.snapshots, expected):
+            assert wp.values.tobytes() == full.snapshots[i].values.tobytes()
+
+    @pytest.mark.parametrize("solver", sorted(RUNS))
+    def test_keep_every_below_zero_rejected(self, solver):
+        with pytest.raises(ValueError, match="keep_every must be at least 0, got -1"):
+            RUNS[solver](10, 1, -1)
+
+    def test_record_without_fields_holds_grid_sized_memory(self):
+        # 401 kept complex fields of 2048 cells are 13 MB; none kept, the run
+        # holds a few grid-sized buffers. tracemalloc sees numpy's allocations.
+        grid = Grid1D(-51.2, 0.05, 2048)
+        x = grid.points()
+        initial = WavePacket(grid, smooth_bump(x, -10.0, 4.0, 2.0))
+        prev = smooth_bump(x + grid.dx, -10.0, 4.0, 2.0)
+        profile = MediumProfile(grid, np.where((x >= 0.0) & (x <= 1.5), 3.0, 0.0))
+
+        def traced_peak(keep):
+            tracemalloc.start()
+            try:
+                record = evolve_wave(initial, profile, 1.0, 400, initial_prev=prev,
+                                     record_every=1, keep_every=keep)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(record.times) == 401 and len(record.snapshots) == (401 if keep else 0)
+            return peak
+
+        assert traced_peak(0) < 1e6
+        assert traced_peak(1) > 1e7
 
     @pytest.mark.parametrize("kwargs, named", [
         ({"mass": math.nan}, "mass=nan"), ({"dt": math.nan}, "dt=nan"),
@@ -410,6 +456,20 @@ class TestSnapshotDump:
             np.testing.assert_array_equal(table[:, 1], wp.values.real)
             np.testing.assert_array_equal(table[:, 2], wp.values.imag)
             np.testing.assert_array_equal(table[:, 3], wp.abs2())
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_files_are_named_by_record_index(self, tmp_path, stride):
+        # A record keeping every third field writes, under each name, the bytes
+        # the full record writes; stride picks record indices, not list slots.
+        _, full = make_run(kc_val=3.0, steps=30, record_every=2)
+        _, sparse = make_run(kc_val=3.0, steps=30, record_every=2, keep_every=3)
+        full_paths = dump_snapshots_csv(full, tmp_path / "full", stride=stride)
+        sparse_paths = dump_snapshots_csv(sparse, tmp_path / "sparse", stride=stride)
+        expected = [f"snapshot_{i:05d}.csv" for i in range(0, 16, 3) if i % stride == 0]
+        assert [p.name for p in sparse_paths] == expected
+        by_name = {p.name: p.read_bytes() for p in full_paths}
+        for path in sparse_paths:
+            assert path.read_bytes() == by_name[path.name]
 
     def test_stride_below_one_rejected(self, tmp_path):
         grid, record = make_run(steps=10, record_every=10)
