@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ftir, propagate, spectral, stationary, tolman, ttime
-from .numcore import Grid1D, UnitSystem, WavePacket
+from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
 
 SI_PHOTON_UNITS = UnitSystem(hbar=1.054571817e-34, c=299792458.0, default_mass=1.0)
+UNITS = {"natural": NATURAL_UNITS, "si-photon": SI_PHOTON_UNITS}  # --units presets
 
 # Microwave tunneling-time benchmark quoted for comparison, never asserted:
 # input period 115 ps, measured delay 130 ps.
@@ -35,14 +36,6 @@ EXPERIMENT_MEASURED_TAU_PS = 130.0
 
 class CliError(Exception):
     """Usage-level error (exit code 2)."""
-
-
-def _units(name: str) -> UnitSystem:
-    if name == "natural":
-        return UnitSystem()
-    if name == "si-photon":
-        return SI_PHOTON_UNITS
-    raise CliError(f"unknown units preset: {name}")
 
 
 def _row_format(row) -> str:
@@ -65,16 +58,17 @@ def _parse_sweep(text: str):
     return np.linspace(lo, hi, n)
 
 
-def _require_finite(args, *names):
-    """Name the first of the given options that is set but not finite."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
+def _require_finite(inputs: dict, *names):
+    """Name the first given input (all if none is given) that is or lists a non-finite float."""
+    for name in names or inputs:
+        value = inputs[name]
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
             raise ValueError(f"{name} must be finite, got {name}={value}")
 
 
 class OutputWriter:
-    """Deterministic CSV/JSON emission with a run manifest."""
+    """Deterministic CSV/JSON emission; the summary, the run manifest, records every input."""
 
     def __init__(self, args):
         out = os.environ.get("EVLAB_OUTPUT_DIR") or args.output_dir
@@ -83,7 +77,7 @@ class OutputWriter:
         self.format = args.format
         self.force = args.force
         self.command = args.command
-        self.inputs = {}
+        self.inputs = {k: v for k, v in vars(args).items() if k not in NOT_INPUTS}
         self.outputs = {}
         self.warnings = []
         # The summary doubles as the run manifest, so every run writes it; a
@@ -118,6 +112,8 @@ class OutputWriter:
         self.outputs[key] = value
 
     def finish(self) -> Path:
+        # After the run, so an input the run reads is named by the library first.
+        _require_finite(self.inputs)
         summary = {
             "command": self.command,
             "version": __version__,
@@ -145,12 +141,11 @@ def _summary_validator():
 
 
 def cmd_stationary(args, out: OutputWriter):
-    units = _units(args.units)
+    units = UNITS[args.units]
     spec = stationary.BarrierSpec(args.u0, args.d, args.m)
     if not args.sweep_e and args.e is None:
         raise CliError("give --e or --sweep-e")
     energies = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
-    out.inputs.update({"u0": args.u0, "d": args.d, "m": args.m})
     sol = stationary.barrier_solution(energies, spec, units)
     rows = np.column_stack([
         energies, sol.k, sol.kappa,
@@ -168,12 +163,11 @@ def cmd_stationary(args, out: OutputWriter):
 
 
 def cmd_ttime(args, out: OutputWriter):
-    units = _units(args.units)
+    units = UNITS[args.units]
     spec = stationary.BarrierSpec(args.u0, args.d, args.m)
     if not args.sweep_e and args.e is None:
         raise CliError("give --e or --sweep-e (as fractions of U0)")
     fractions = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
-    out.inputs.update({"u0": args.u0, "d": args.d, "m": args.m})
     rep = ttime.report(fractions * args.u0, spec, units)
     rows = np.column_stack([fractions, rep.esposito_tau, rep.factor_A, rep.phase_time,
                             rep.dwell_time, rep.period_T])
@@ -185,8 +179,7 @@ def cmd_ttime(args, out: OutputWriter):
 
 
 def cmd_spectrum(args, out: OutputWriter):
-    units = _units(args.units)
-    out.inputs["a"] = args.a
+    units = UNITS[args.units]
     report = spectral.box_moments(args.a)
     report["parseval"] = spectral.box_parseval(args.a)
     report["k2_spectral"] = spectral.box_k2_spectral(args.a)
@@ -216,9 +209,8 @@ def cmd_spectrum(args, out: OutputWriter):
 
 
 def cmd_ftir(args, out: OutputWriter):
-    units = _units(args.units)
+    units = UNITS[args.units]
     theta = math.radians(args.theta_deg)
-    out.inputs.update({"n": args.n, "theta_deg": args.theta_deg})
     if args.report_alpha:
         decay = ftir.gap_decay(args.n, theta, args.omega, units)
         out.add_result("alpha", decay["alpha"])
@@ -257,19 +249,17 @@ def cmd_ftir(args, out: OutputWriter):
 
 
 def cmd_propagate(args, out: OutputWriter):
-    units = _units(args.units)
+    units = UNITS[args.units]
     # Checked before any arithmetic: NaN fails the barrier mask's comparisons
     # silently, and a zero width divides by zero.
-    _require_finite(args, "pulse_center", "pulse_k0", "barrier_start", "barrier_width")
+    _require_finite(out.inputs, "pulse_center", "pulse_k0", "barrier_start", "barrier_width")
     if not 0 < args.pulse_width < math.inf:
         raise ValueError("initial field needs a positive, finite pulse width, "
                          f"got pulse_width={args.pulse_width}")
     grid = Grid1D(args.x_min, args.dx, args.grid_n)
     x = grid.points()
-    out.inputs.update({"mode": args.mode, "grid_n": args.grid_n, "dx": args.dx,
-                       "steps": args.steps})
     snapshot_dir = out._target("snapshots") if args.snapshots else None  # refused before the run
-    if args.snapshots and args.snapshot_stride < 1:
+    if args.snapshot_stride < 1:
         raise ValueError(f"stride must be at least 1, got {args.snapshot_stride}")
     # The record keeps only the fields the snapshot files are written from.
     keep_every = args.snapshot_stride if args.snapshots else 0
@@ -299,21 +289,18 @@ def cmd_propagate(args, out: OutputWriter):
         # the files it rewrites.
         for stale in snapshot_dir.glob("snapshot_*.csv"):
             stale.unlink()
-        paths = propagate.dump_snapshots_csv(record, snapshot_dir, stride=args.snapshot_stride)
+        paths = propagate.dump_snapshots_csv(record, snapshot_dir)
         out.add_result("snapshots", [p.name for p in paths])
     rows = np.column_stack([record.times, record.front_positions, record.peak_positions])
     out.write_csv("trajectory.csv", ["t", "front_x", "peak_x"], rows)
 
 
 def cmd_tolman(args, out: OutputWriter):
-    units = _units(args.units)
+    units = UNITS[args.units]
     # Checked before any arithmetic: NaN and inf would otherwise surface as a
     # JSON error or a classification, naming no input.
-    _require_finite(args, "v_signal", "kappa", "threshold", "dx_over_dt")
+    _require_finite(out.inputs, "v_signal", "kappa", "threshold", "dx_over_dt")
     tolman.Boost(args.v_frame).gamma(units)  # every output is in this frame
-    out.inputs.update({"v_signal": args.v_signal, "v_frame": args.v_frame,
-                       "dx_over_dt": args.dx_over_dt, "kappa": args.kappa,
-                       "threshold": args.threshold, "sweep_d": args.sweep_d})
     if args.dx_over_dt is not None:
         a = tolman.Event(0.0, 0.0)
         b = tolman.Event(1.0, args.dx_over_dt * 1.0)
@@ -335,19 +322,25 @@ def cmd_tolman(args, out: OutputWriter):
         })
 
 
+# Parsed names that are not run inputs: the subcommand, its handler and the output
+# handling, so runs written to two directories leave byte-identical summaries.
+NOT_INPUTS = frozenset({"command", "func", "output_dir", "format", "force", "jobs"})
+
+
+def common(p):
+    p.add_argument("--units", default="natural", choices=UNITS)
+    p.add_argument("--output-dir", default=".")
+    p.add_argument("--format", default="both", choices=["csv", "json", "both"])
+    p.add_argument("--force", action="store_true",
+                   help="allow overwriting existing output files")
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)  # no effect
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="evlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--units", default="natural", choices=["natural", "si-photon"])
-        p.add_argument("--output-dir", default=".")
-        p.add_argument("--format", default="both", choices=["csv", "json", "both"])
-        p.add_argument("--force", action="store_true",
-                       help="allow overwriting existing output files")
-        p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)  # no effect
 
     p = sub.add_parser("stationary", help="barrier/threshold solutions and flux")
     common(p)

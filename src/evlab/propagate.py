@@ -203,7 +203,8 @@ def evolve_wave(
     Initial data must be compactly supported strictly inside the grid.
     Either initial_velocity (dpsi/dt at t=0, Taylor first step) or
     initial_prev (the field one step in the past, exact two-level start;
-    this is what makes unit-Courant vacuum translation exact) must be given.
+    this is what makes unit-Courant vacuum translation exact) must be given,
+    on the profile's grid, which must also be the initial packet's.
     Support touching the boundary raises rather than wrapping around.
 
     The cutoff coupling is time-averaged over the n+1 and n-1 levels, which
@@ -222,6 +223,13 @@ def evolve_wave(
     if (initial_velocity is None) == (initial_prev is None):
         raise ValueError("give exactly one of initial_velocity / initial_prev")
     grid = profile.grid
+    if initial.grid != grid:
+        raise ValueError(f"initial packet is on {initial.grid}, the profile on {grid}")
+    name, start = (("initial_prev", initial_prev) if initial_velocity is None
+                   else ("initial_velocity", initial_velocity))
+    start = np.asarray(start, dtype=complex)
+    if start.shape != (grid.count,):
+        raise ValueError(f"{name} must have shape ({grid.count},), got {start.shape}")
     dx, c = grid.dx, units.c
     dt = courant * dx / c
     kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
@@ -230,14 +238,13 @@ def evolve_wave(
     psi0 = np.asarray(initial.values, dtype=complex)
     edge_limit = 1e-12 * np.abs(psi0).max()
 
-    if initial_prev is not None:
-        prev = np.asarray(initial_prev, dtype=complex)
+    if initial_velocity is None:
+        prev = start
     else:
-        v = np.asarray(initial_velocity, dtype=complex)
         # Second-order Taylor start run backwards to get the t = -dt level.
         lap = np.zeros_like(psi0)
         lap[1:-1] = psi0[2:] - 2.0 * psi0[1:-1] + psi0[:-2]
-        prev = psi0 - dt * v + 0.5 * (c2 * lap - kc2dt2 * psi0)
+        prev = psi0 - dt * start + 0.5 * (c2 * lap - kc2dt2 * psi0)
     # Every coefficient is real, so real data step in float64, to the same digits.
     if not (psi0.imag.any() or prev.imag.any()):
         psi0, prev = psi0.real, prev.real
@@ -326,20 +333,15 @@ def peak_speed(record: PropagationRecord) -> float:
     return float(np.polyfit(t, x, 1)[0])
 
 
-def dump_snapshots_csv(
-    record: PropagationRecord, directory, stride: int = 1
-) -> list:
-    """Write each kept snapshot whose record index is a multiple of stride as
-    CSV: x, re, im and WavePacket.abs2(), %.17g, named by that index
-    (snapshot_00100.csv is record 100, whatever the record kept)."""
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
+def dump_snapshots_csv(record: PropagationRecord, directory) -> list:
+    """Write every kept snapshot as CSV: x, re, im and WavePacket.abs2(),
+    %.17g, named by its record index (snapshot_00100.csv is record 100,
+    whatever the record kept). Which fields are kept is the recorder's
+    choice, through keep_every."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for idx, wp in zip(record.snapshot_indices.tolist(), record.snapshots):
-        if idx % stride:
-            continue
         rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
         path = directory / f"snapshot_{idx:05d}.csv"
         text = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())

@@ -26,6 +26,8 @@ TAIL_COEFFICIENT_WARNING = (
     "tail-probability asymptotic: the printed coefficient (8/3)*pi disagrees "
     "with the quadrature-converged constant (4/3)*pi; both are reported"
 )
+# pi - math.pi, the part of pi a double drops.
+PI_LO = 1.2246467991473532e-16
 # Moments switch from quadrature to the exact tail series, at roundoff from u ~ 50 up.
 SERIES_CUT = 20.0 * math.pi
 
@@ -74,23 +76,16 @@ def box_spectrum(k, a: float):
     """Fourier amplitude of the box ground mode:
     F(k) = 2 sqrt(pi a) cos(a k / 2) / (pi^2 - a^2 k^2).
 
-    The removable singularities at k = +-pi/a are bridged by a series
-    expansion inside a guard band, where direct evaluation loses all
-    precision.
+    With u = |a k|, pi^2 - u^2 = ((math.pi - u) + PI_LO)(math.pi + u): math.pi - u
+    is exact near pi (Sterbenz), so the factor vanishing at the removable
+    singularity u = pi carries the true pi, as cos(u/2) does; the quotient
+    stays at roundoff through it, and the denominator is never 0.
     """
     if not a > 0:
         raise ValueError(f"a must be positive, got a={a}")
-    k = np.asarray(k, dtype=float)
-    u = np.abs(a * k)  # F is even in k
-    denom = math.pi**2 - u**2
-    near = np.abs(denom) < 1e-6
-    safe_denom = np.where(near, 1.0, denom)
-    direct = 2.0 * math.sqrt(math.pi * a) * np.cos(u / 2.0) / safe_denom
-    # Series around u = pi: cos(u/2)/(pi^2 - u^2) = (1/2 - eps^2/24 + ...)
-    # / (2 pi + eps) with eps = u - pi.
-    eps = u - math.pi
-    series = 2.0 * math.sqrt(math.pi * a) * (0.5 - eps**2 / 24.0) / (2.0 * math.pi + eps)
-    out = np.where(near, series, direct)
+    u = np.abs(a * np.asarray(k, dtype=float))  # F is even in k
+    denom = ((math.pi - u) + PI_LO) * (math.pi + u)
+    out = 2.0 * math.sqrt(math.pi * a) * np.cos(u / 2.0) / denom
     return out if out.shape else float(out)
 
 

@@ -27,8 +27,8 @@ class Event:
 
 @dataclass(frozen=True)
 class Boost:
-    """A frame velocity V along +x, |V| < c (checked against natural c = 1
-    at construction; lorentz() re-checks against the units in use)."""
+    """A frame velocity V along +x. Construction checks nothing: gamma(units),
+    which lorentz() calls, raises unless |V| < c of the units in use."""
 
     V: float
 

@@ -114,6 +114,12 @@ class TestExitCodes:
         (["tolman", "--sweep-d=0:2:5000"], "d1=0.0"),
         (["stationary", "--u0", "2", "--sweep-e", "0:1:5000"], "E=0.0 is not inside"),
         (["ttime", "--u0", "2", "--sweep-e", "0:0.9:50"], "positive, got E=0.0"),
+        # A bad stride is refused with or without --snapshots.
+        (["propagate", "--steps", "10", "--snapshot-stride", "0"], "stride"),
+        # A recorded input is finite even when the run never reads it.
+        (["ftir", "--omega", "nan"], "omega must be finite, got omega=nan"),
+        (["ftir", "--report-alpha", "--kappa-d", "inf"], "kappa_d=inf"),
+        (["stationary", "--u0", "2", "--sweep-e", "0.2:1.8:3", "--e", "nan"], "e=nan"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -123,8 +129,18 @@ class TestExitCodes:
     def test_nan_result_never_reaches_summary(self, tmp_path):
         out = cli.OutputWriter(argparse.Namespace(
             output_dir=str(tmp_path), format="both", force=False, command="x"))
+        assert out.inputs == {}
         out.add_result("value", math.nan)
         with pytest.raises(ValueError):
+            out.finish()
+        assert not (tmp_path / "x_summary.json").exists()
+
+    def test_non_finite_input_is_named_at_finish(self, tmp_path):
+        out = cli.OutputWriter(argparse.Namespace(
+            output_dir=str(tmp_path), format="both", force=False, command="x",
+            func=None, jobs=1, label="a", count=3, band=[1.0, -math.inf]))
+        assert out.inputs == {"label": "a", "count": 3, "band": [1.0, -math.inf]}
+        with pytest.raises(ValueError, match=r"band must be finite, got band=\[1.0, -inf\]"):
             out.finish()
         assert not (tmp_path / "x_summary.json").exists()
 
@@ -384,6 +400,14 @@ class TestSubcommands:
         assert not (tmp_path / "propagate_summary.json").exists()
         assert not (tmp_path / "snapshots").exists()
 
+    def test_bad_snapshot_stride_refused_without_snapshots(self, tmp_path, monkeypatch):
+        def solver(*args, **kwargs):
+            pytest.fail("the solver ran")
+
+        monkeypatch.setattr(cli.propagate, "evolve_wave", solver)
+        assert invoke(["propagate", "--snapshot-stride", "-3"], tmp_path, monkeypatch) == 1
+        assert not (tmp_path / "propagate_summary.json").exists()
+
     @pytest.mark.parametrize("mode", ["wave", "schrodinger"])
     @pytest.mark.parametrize("snapshots, kept", [
         ([], []), (["--snapshots", "--snapshot-stride", "7"], [0, 7, 14, 21, 28, 35]),
@@ -440,18 +464,44 @@ class TestSubcommands:
         assert summary["outputs"]["interval"] == "spacelike"
         assert summary["outputs"]["ordering"] == ordering
 
-    def test_tolman_summary_records_its_inputs(self, tmp_path, monkeypatch):
-        # Both pairs are spacelike and b_first: only the inputs tell the runs apart.
+    @pytest.mark.parametrize("argv, option, value, recorded", [
+        pytest.param(["stationary", "--u0", "2", "--e", "1"], "units", "si-photon",
+                     {"u0": 2.0, "d": 1.0, "m": 1.0, "e": 1.0, "sweep_e": None, "m0": None},
+                     id="stationary"),
+        pytest.param(["ttime", "--u0", "2", "--e", "0.5"], "e", "0.25",
+                     {"u0": 2.0, "d": 1.0, "m": 1.0, "e": 0.5, "sweep_e": None}, id="ttime"),
+        pytest.param(["spectrum", "--a", "2"], "units", "si-photon",
+                     {"a": 2.0, "tail_akprime": None, "lorentz": None, "gauss": None},
+                     id="spectrum"),
+        pytest.param(["ftir", "--report-alpha"], "kappa_d", "7",
+                     {"n": 1.5, "theta_deg": 45.0, "omega": 1.0, "gap_d": None,
+                      "report_alpha": True, "experiment_report": False, "kappa_d": 5.0},
+                     id="ftir"),
+        pytest.param(["propagate", "--steps", "10"], "barrier_kc", "2",
+                     {"mode": "wave", "grid_n": 2048, "dx": 0.05, "x_min": -51.2,
+                      "courant": 1.0, "dt": 0.001, "steps": 10, "record_every": 10,
+                      "pulse_center": -20.0, "pulse_width": 2.0, "pulse_k0": 5.0,
+                      "barrier_start": 0.0, "barrier_width": 1.0, "barrier_kc": 0.0,
+                      "snapshots": False, "snapshot_stride": 1}, id="propagate"),
+        # Both runs are spacelike and b_first: only the inputs tell them apart.
+        pytest.param(["tolman", "--dx-over-dt", "1e200"], "units", "si-photon",
+                     {"v_signal": 2.0, "v_frame": 0.6, "dx_over_dt": 1e200, "kappa": 1.0,
+                      "threshold": 0.01, "sweep_d": None}, id="tolman"),
+    ])
+    def test_summary_records_its_inputs(self, tmp_path, monkeypatch, argv, option, value,
+                                        recorded):
+        # Every option of the subcommand and --units, as parsed; output handling is not an input.
+        flag = "--" + option.replace("_", "-")
         summaries = []
-        for dx_over_dt in ("1e200", "3e200"):
-            here = tmp_path / dx_over_dt
-            assert invoke(["tolman", "--dx-over-dt", dx_over_dt, "--output-dir", str(here)],
-                          tmp_path, monkeypatch) == 0
-            summaries.append((here / "tolman_summary.json").read_bytes())
+        for name, extra in (("base", []), ("changed", [flag, value])):
+            here = tmp_path / name
+            assert invoke([*argv, *extra, "--output-dir", str(here)], tmp_path, monkeypatch) == 0
+            summaries.append((here / f"{argv[0]}_summary.json").read_bytes())
         assert summaries[0] != summaries[1]
-        inputs = json.loads(summaries[0])["inputs"]
-        assert inputs == {"v_signal": 2.0, "v_frame": 0.6, "dx_over_dt": 1e200,
-                          "kappa": 1.0, "threshold": 0.01, "sweep_d": None}
+        base, changed = (json.loads(s)["inputs"] for s in summaries)
+        assert base == {"units": "natural", **recorded}
+        assert {k for k in base if base[k] != changed[k]} == {option}
+        assert changed[option] == type(base[option])(value)
 
     def test_jobs_is_hidden_with_a_constant_default(self, capsys):
         assert cli.build_parser().parse_args(["stationary", "--u0", "1"]).jobs == 1

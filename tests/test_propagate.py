@@ -443,6 +443,23 @@ class TestRecorder:
             evolve_schrodinger(wp, np.zeros(64), 1.0, 0.01, 10)
 
 
+class TestGridChecks:
+    def test_packet_on_another_grid_rejected(self):
+        packet_grid, profile_grid = Grid1D(-10.0, 0.05, 400), Grid1D(-10.0, 0.1, 400)
+        psi0 = smooth_bump(packet_grid.points(), -5.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="initial packet"):
+            evolve_wave(WavePacket(packet_grid, psi0), MediumProfile(profile_grid, np.zeros(400)),
+                        1.0, 10, initial_prev=psi0)
+
+    @pytest.mark.parametrize("name", ["initial_prev", "initial_velocity"])
+    def test_start_of_wrong_length_named(self, name):
+        grid = Grid1D(-10.0, 0.05, 400)
+        psi0 = smooth_bump(grid.points(), -5.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=rf"{name} must have shape \(400,\), got \(399,\)"):
+            evolve_wave(WavePacket(grid, psi0), MediumProfile(grid, np.zeros(400)), 1.0, 10,
+                        **{name: psi0[:-1]})
+
+
 class TestSnapshotDump:
     def test_values_parse_back_exactly(self, tmp_path):
         grid, record = make_run(kc_val=3.0, steps=30, record_every=10)
@@ -457,29 +474,29 @@ class TestSnapshotDump:
             np.testing.assert_array_equal(table[:, 2], wp.values.imag)
             np.testing.assert_array_equal(table[:, 3], wp.abs2())
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_files_are_named_by_record_index(self, tmp_path, stride):
-        # A record keeping every third field writes, under each name, the bytes
-        # the full record writes; stride picks record indices, not list slots.
+    @pytest.mark.parametrize("keep_every", [1, 2, 3])
+    def test_files_are_named_by_record_index(self, tmp_path, keep_every):
+        # A record keeping every k-th field writes each kept field, under its
+        # record index, with the bytes the full record writes under that name.
         _, full = make_run(kc_val=3.0, steps=30, record_every=2)
-        _, sparse = make_run(kc_val=3.0, steps=30, record_every=2, keep_every=3)
-        full_paths = dump_snapshots_csv(full, tmp_path / "full", stride=stride)
-        sparse_paths = dump_snapshots_csv(sparse, tmp_path / "sparse", stride=stride)
-        expected = [f"snapshot_{i:05d}.csv" for i in range(0, 16, 3) if i % stride == 0]
+        _, sparse = make_run(kc_val=3.0, steps=30, record_every=2, keep_every=keep_every)
+        full_paths = dump_snapshots_csv(full, tmp_path / "full")
+        sparse_paths = dump_snapshots_csv(sparse, tmp_path / "sparse")
+        expected = [f"snapshot_{i:05d}.csv" for i in range(0, 16, keep_every)]
         assert [p.name for p in sparse_paths] == expected
+        assert sorted(p.name for p in (tmp_path / "sparse").iterdir()) == expected
         by_name = {p.name: p.read_bytes() for p in full_paths}
         for path in sparse_paths:
             assert path.read_bytes() == by_name[path.name]
 
-    def test_stride_below_one_rejected(self, tmp_path):
-        grid, record = make_run(steps=10, record_every=10)
-        with pytest.raises(ValueError, match="stride"):
-            dump_snapshots_csv(record, tmp_path, stride=0)
+    def test_record_keeping_none_writes_no_file(self, tmp_path):
+        _, record = make_run(steps=10, record_every=5, keep_every=0)
+        assert dump_snapshots_csv(record, tmp_path) == []
         assert not list(tmp_path.iterdir())
 
     def test_csv_roundtrip(self, tmp_path):
-        grid, record = make_run(steps=20, record_every=10)
-        paths = dump_snapshots_csv(record, tmp_path, stride=2)
+        grid, record = make_run(steps=20, record_every=10, keep_every=2)
+        paths = dump_snapshots_csv(record, tmp_path)
         assert len(paths) == 2
         with open(paths[0], newline="") as fh:
             rows = list(csv.reader(fh))

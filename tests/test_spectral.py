@@ -71,15 +71,27 @@ class TestBoxSpectrum:
     def test_removable_singularity_bridged(self):
         a = 1.0
         k_a = math.pi / a
-        # The limit value at k = pi/a is sqrt(pi a) / (2 pi) * ... evaluated
-        # through the series; compare with the direct transform.
+        # The limit value at k = pi/a, compared with the direct transform.
         assert box_spectrum(k_a, a) == pytest.approx(
             fourier_quadrature(k_a, a), abs=1e-9
         )
-        # Continuity across the guard band edge.
+        # Continuity next to the singularity.
         inside = box_spectrum(k_a * (1.0 + 1e-8), a)
         outside = box_spectrum(k_a * (1.0 + 1e-5), a)
         assert inside == pytest.approx(outside, rel=1e-3)
+
+    @pytest.mark.parametrize("u, exact", [
+        # F(u; 1) = 2 sqrt(pi) cos(u/2) / (pi^2 - u^2) at the double u, to 25
+        # digits (50-digit arithmetic); F(pi; 1) = 1 / (2 sqrt(pi)).
+        (math.pi, 0.2820947917738781489723096),
+        (math.pi - 1.6e-7, 0.2820947989573629122227290),
+        (math.pi + 1.6e-7, 0.2820947845903931497715490),
+        (math.pi + 2e-7, 0.2820947827945218531350318),
+        (math.pi + 1e-6, 0.2820947468770930030007150),
+    ])
+    def test_roundoff_through_the_removable_singularity(self, u, exact):
+        assert box_spectrum(u, 1.0) == pytest.approx(exact, rel=1e-15, abs=0)
+        assert box_spectrum(-u, 1.0) == box_spectrum(u, 1.0)
 
     def test_even_in_k(self):
         assert box_spectrum(3.3, 1.2) == box_spectrum(-3.3, 1.2)
