@@ -7,7 +7,7 @@ time-domain front-vs-peak velocity measurement, and the special-relativity
 round-trip analysis of superluminal signaling with attenuation.
 """
 
-from .numcore import Grid1D, UnitSystem, WavePacket, integrate, std_dev
+from .numcore import Grid1D, UnitSystem, WavePacket, integrate
 
 __version__ = "0.1.0"
 
@@ -16,6 +16,5 @@ __all__ = [
     "UnitSystem",
     "WavePacket",
     "integrate",
-    "std_dev",
     "__version__",
 ]

@@ -72,8 +72,8 @@ class OutputWriter:
 
     def __init__(self, args):
         out = os.environ.get("EVLAB_OUTPUT_DIR") or args.output_dir
+        # Made at the first file write, so a run that fails before it leaves no directory.
         self.directory = Path(out)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.format = args.format
         self.force = args.force
         self.command = args.command
@@ -103,6 +103,7 @@ class OutputWriter:
             }
             return None
         path = self._target(name)
+        self.directory.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             fh.writelines(line + "\n" for line in [",".join(header), *lines])
         self.outputs[name.removesuffix(".csv")] = {"file": name, "columns": header}
@@ -124,6 +125,7 @@ class OutputWriter:
         _summary_validator().validate(summary)
         # NaN and inf are not JSON: a run that produced them fails (exit 1).
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        self.directory.mkdir(parents=True, exist_ok=True)
         self.summary_path.write_text(text + "\n")
         return self.summary_path
 
@@ -217,7 +219,6 @@ def cmd_ftir(args, out: OutputWriter):
         out.add_result("kappa_x", decay["kappa_x"])
         out.add_result("k_parallel", decay["k_parallel"])
         out.add_result("goos_hanchen_D", ftir.goos_hanchen_estimate(decay["kappa_x"]))
-        print(f"alpha = {decay['alpha']:.7f}")
     if args.gap_d is not None:
         spec = ftir.GapSpec(args.n, theta, args.gap_d)
         gt = ftir.gap_transfer(args.omega, spec, units)
@@ -246,6 +247,7 @@ def cmd_ftir(args, out: OutputWriter):
             "tau_g_times_nu0": tau_g * nu0,
             "note": "measured value quoted for comparison only, not asserted",
         })
+    return f"alpha = {out.outputs['alpha']:.7f}" if args.report_alpha else None
 
 
 def cmd_propagate(args, out: OutputWriter):
@@ -430,8 +432,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         out = OutputWriter(args)
-        args.func(args, out)
+        # A handler may return a line for stdout, printed only once the run has succeeded.
+        printed = args.func(args, out)
         path = out.finish()
+        if printed:
+            print(printed)
         print(f"summary: {path}")
         return 0
     except CliError as exc:

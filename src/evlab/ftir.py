@@ -141,7 +141,7 @@ def goos_hanchen_estimate(kappa_x: float) -> float:
 
     This is a scale estimate, not a polarization-resolved beam-shift formula.
     """
-    if kappa_x <= 0:
+    if not kappa_x > 0:
         raise ValueError("kappa_x must be positive")
     return 1.0 / kappa_x
 

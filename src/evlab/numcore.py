@@ -1,5 +1,4 @@
-"""Shared numerical core: unit conventions, 1D grids, complex square-root
-convention, adaptive quadrature, and density moments.
+"""Shared numerical core: unit conventions, 1D grids and adaptive quadrature.
 
 Everything here is pure and immutable; natural units (hbar = c = m = 1)
 are the default throughout the library.
@@ -37,7 +36,7 @@ class UnitSystem:
     default_mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.c <= 0 or self.default_mass <= 0:
+        if not (self.hbar > 0 and self.c > 0 and self.default_mass > 0):
             raise ValueError("hbar, c, and default_mass must all be positive")
 
 
@@ -102,21 +101,6 @@ def _require_all(ok, values, message: str, error=ValueError):
         raise error(message.format(np.broadcast_to(values, ok.shape)[~ok][0]))
 
 
-def principal_sqrt(z: complex) -> complex:
-    """Complex square root with Re(sqrt) >= 0.
-
-    Ties on the negative real axis resolve to the positive imaginary side,
-    regardless of the sign of a (possibly negative) zero imaginary part.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        return 1j * math.sqrt(-z.real)
-    w = np.sqrt(complex(z))
-    if w.real < 0.0:
-        w = -w
-    return complex(w)
-
-
 # QUADPACK qk15 (Piessens et al., 1983) to double precision, outermost node first: Kronrod
 # nodes on [-1, 1], their weights, and the 7-point Gauss weights of every second node.
 _XGK = np.array([
@@ -149,7 +133,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """
     if not a < b:
         raise ValueError(f"require a < b, got a={a}, b={b}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if not np.all(np.isfinite(f(np.array([a, b], dtype=float)))):
         raise ValueError("integrand not finite at interval endpoints")
@@ -168,24 +152,3 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
         mid = 0.5 * (lo[split] + hi[split])
         halves = _panels(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
         panels = np.concatenate([panels[:, ~split], halves], axis=1)
-
-
-def std_dev(density: np.ndarray, grid: Grid1D) -> float:
-    """Standard deviation of a sampled non-negative density on a grid.
-
-    The density is normalized to unit mass internally, so only relative
-    weights matter.
-    """
-    density = np.asarray(density, dtype=float)
-    if density.shape != (grid.count,):
-        raise ValueError("density length must match grid count")
-    if np.any(density < 0):
-        raise ValueError("density must be non-negative")
-    total = density.sum()
-    if total <= 0:
-        raise ValueError("density has zero total mass")
-    x = grid.points()
-    w = density / total
-    mean = np.dot(w, x)
-    var = np.dot(w, (x - mean) ** 2)
-    return math.sqrt(max(var, 0.0))

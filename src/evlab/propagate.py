@@ -66,6 +66,7 @@ class PropagationRecord:
 
 
 def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
+    """Rightmost x where amp >= epsilon, linearly interpolated."""
     above = np.nonzero(amp >= epsilon)[0]
     if len(above) == 0:
         raise ValueError("no sample reaches the threshold")
@@ -80,6 +81,7 @@ def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
 
 
 def _peak(grid: Grid1D, dens: np.ndarray) -> float:
+    """Position of the global maximum of dens with quadratic refinement."""
     if not np.any(dens > 0):
         raise ValueError("zero packet has no peak")
     i = int(np.argmax(dens))
@@ -91,18 +93,6 @@ def _peak(grid: Grid1D, dens: np.ndarray) -> float:
     if denom == 0.0:
         return float(x)
     return float(x + 0.5 * (y0 - y2) / denom * grid.dx)
-
-
-def front_position(packet: WavePacket, epsilon: float) -> float:
-    """Rightmost x where |psi| >= epsilon, linearly interpolated."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return _front(packet.grid, np.abs(packet.values), epsilon)
-
-
-def peak_position(packet: WavePacket) -> float:
-    """Position of the global |psi|^2 maximum with quadratic refinement."""
-    return _peak(packet.grid, packet.abs2())
 
 
 def _measure(grid: Grid1D, values: np.ndarray, epsilon: float, keep: bool, norm: bool):
@@ -320,17 +310,6 @@ def evolve_schrodinger(
     # Drift is checked on the recorded steps: the steps do no extra work.
     return _recorded(grid, dt, steps, record_every, fields(initial.values.copy()),
                      keep_every, norm_tol)
-
-
-def peak_speed(record: PropagationRecord) -> float:
-    """Least-squares slope of the peak trajectory over the last 10 recorded
-    snapshots (all of them if fewer); single-step differences are too noisy
-    at grid resolution."""
-    if len(record.times) < 2:
-        raise ValueError("record too short")
-    t = record.times[-10:]
-    x = record.peak_positions[-10:]
-    return float(np.polyfit(t, x, 1)[0])
 
 
 def dump_snapshots_csv(record: PropagationRecord, directory) -> list:

@@ -141,20 +141,10 @@ def tail_probability(k_prime: float, a: float) -> dict:
 
 
 def box_moments(a: float) -> dict:
-    """Position and momentum moments of the box ground mode.
-
-    delta_x and k2_mean are each computed from the closed form *and* from
-    quadrature over the unit box in s = x/a; disagreement beyond tolerance
-    raises, so a silent regression in either route cannot pass unnoticed.
-    """
+    """Position and momentum moments of the box ground mode, from their closed
+    forms in s = x/a: delta_s = sqrt(1/12 - 1/(2 pi^2)) and a^2 <k^2> = pi^2."""
     k_a = BoxState(a).k_a
     delta_s = math.sqrt((1.0 / 12.0) * (1.0 - 6.0 / math.pi**2))
-    unit = BoxState(1.0)
-    # Mean s = 0 by symmetry; a^2 <k^2> = int (dpsi/ds)^2 ds, which is pi^2.
-    s2 = integrate(lambda s: s * s * unit.psi(s) ** 2, -0.5, 0.5, 1e-10)
-    k2_s = integrate(lambda s: (math.sqrt(2.0) * math.pi * np.sin(math.pi * s)) ** 2, -0.5, 0.5)
-    if abs(math.sqrt(s2) - delta_s) > 1e-7 or abs(k2_s - math.pi**2) > 1e-7 * math.pi**2:
-        raise RuntimeError("box moment quadrature disagrees with the closed form")
     return {
         "delta_x": a * delta_s,
         "mean_k": 0.0,

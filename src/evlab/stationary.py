@@ -15,11 +15,12 @@ exp(-kappa x), exp(kappa (x - d)); closed forms serve only as test oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, UnitSystem, _require_all, principal_sqrt
+from .numcore import NATURAL_UNITS, UnitSystem, _require_all
 
 
 @dataclass(frozen=True)
@@ -188,11 +189,6 @@ def probability_flux(
     return (hbar * sol.k / m) * abs(sol.t) ** 2
 
 
-def flux_from_field(psi, dpsi_dx, m: float, units: UnitSystem = NATURAL_UNITS) -> float:
-    """Direct flux j = (hbar/m) Im(conj(psi) dpsi/dx); oracle-style evaluation."""
-    return (units.hbar / m) * (psi.conjugate() * dpsi_dx).imag
-
-
 def relativistic_wavenumber(
     E: float, U0: float, m0: float, units: UnitSystem = NATURAL_UNITS
 ) -> complex:
@@ -204,4 +200,5 @@ def relativistic_wavenumber(
     if not m0 >= 0:
         raise ValueError(f"rest mass must be non-negative, got m0={m0}")
     hbar, c = units.hbar, units.c
-    return principal_sqrt((E - U0) ** 2 - (m0 * c**2) ** 2) / (hbar * c)
+    x = (E - U0) ** 2 - (m0 * c**2) ** 2
+    return (complex(math.sqrt(x)) if x >= 0 else 1j * math.sqrt(-x)) / (hbar * c)

@@ -76,12 +76,6 @@ def inverse_lorentz(e: Event, b: Boost, units: UnitSystem = NATURAL_UNITS) -> Ev
     return lorentz(e, Boost(-b.V), units)
 
 
-def velocity_addition(v1: float, v2: float, units: UnitSystem = NATURAL_UNITS) -> float:
-    """Relativistic composition of two collinear frame velocities."""
-    c2 = units.c**2
-    return (v1 + v2) / (1.0 + v1 * v2 / c2)
-
-
 def classify_interval(a: Event, b: Event, units: UnitSystem = NATURAL_UNITS) -> str:
     """Sign classification of c^2 dt^2 - dx^2 (timelike/spacelike/lightlike),
     comparing |c dt| with |dx|: their squares overflow beyond ~1e154."""

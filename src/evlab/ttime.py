@@ -76,7 +76,7 @@ def esposito_time_factor_form(E, U0: float, units: UnitSystem = NATURAL_UNITS):
 
 def esposito_special_energy(U0: float) -> float:
     """The energy at which A = 1 and tau equals one wave period."""
-    if U0 <= 0:
+    if not U0 > 0:
         raise ValueError("U0 must be positive")
     four_pi2 = 4.0 * math.pi**2
     return four_pi2 / (1.0 + four_pi2) * U0

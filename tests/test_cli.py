@@ -126,6 +126,16 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not list(tmp_path.glob("*_summary.json"))
 
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--steps", "10", "--snapshot-stride", "0"],
+        ["ftir", "--report-alpha", "--kappa-d", "inf"],
+    ])
+    def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
+                                                                capsys, argv):
+        assert invoke(argv + ["--output-dir", "z"], tmp_path, monkeypatch) == 1
+        assert not (tmp_path / "z").exists()
+        assert capsys.readouterr().out == ""
+
     def test_nan_result_never_reaches_summary(self, tmp_path):
         out = cli.OutputWriter(argparse.Namespace(
             output_dir=str(tmp_path), format="both", force=False, command="x"))

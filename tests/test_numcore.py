@@ -4,17 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from evlab.ftir import goos_hanchen_estimate
 from evlab.numcore import (
     Grid1D,
     IntegrationError,
     UnitSystem,
     WavePacket,
     integrate,
-    principal_sqrt,
-    std_dev,
 )
+from evlab.ttime import esposito_special_energy
 
 
 class TestUnitSystem:
@@ -28,6 +27,19 @@ class TestUnitSystem:
     def test_rejects_nonpositive_constants(self, bad):
         with pytest.raises(ValueError):
             UnitSystem(**bad)
+
+
+# Positivity guards written as `not x > 0`, which NaN fails: each raises ValueError on NaN
+# rather than constructing, returning NaN or running to a later error.
+@pytest.mark.parametrize("call", [
+    lambda: UnitSystem(hbar=math.nan),
+    lambda: integrate(lambda x: x, 0.0, 1.0, math.nan),
+    lambda: esposito_special_energy(math.nan),
+    lambda: goos_hanchen_estimate(math.nan),
+], ids=["UnitSystem", "integrate_tol", "esposito_special_energy", "goos_hanchen_estimate"])
+def test_positivity_guard_rejects_nan(call):
+    with pytest.raises(ValueError, match="positive"):
+        call()
 
 
 class TestGrid1D:
@@ -59,25 +71,6 @@ class TestWavePacket:
         wp = WavePacket(g, np.arange(4.0))
         with pytest.raises(ValueError):
             wp.values[0] = 5.0
-
-
-class TestPrincipalSqrt:
-    def test_positive_real(self):
-        assert principal_sqrt(4.0) == 2.0
-
-    def test_negative_real_picks_positive_imaginary(self):
-        assert principal_sqrt(-9.0) == 3.0j
-        # A negative zero imaginary part must not flip the branch.
-        assert principal_sqrt(complex(-9.0, -0.0)) == 3.0j
-
-    def test_squares_back(self):
-        z = -3.0 + 4.0j
-        w = principal_sqrt(z)
-        assert w * w == pytest.approx(z)
-
-    @given(st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e8))
-    def test_real_part_never_negative(self, z):
-        assert principal_sqrt(z).real >= 0.0
 
 
 class TestIntegrate:
@@ -167,27 +160,3 @@ class TestIntegrate:
         assert max(sizes) <= 2 * 15 * 256
         assert abs(info.value.best_estimate) <= 1.0
 
-
-class TestStdDev:
-    def test_uniform_density(self):
-        g = Grid1D(0.0, 0.001, 2001)  # [0, 2]
-        sd = std_dev(np.ones(2001), g)
-        # Exact discrete-uniform deviation: dx * sqrt((N^2 - 1) / 12).
-        exact = 0.001 * math.sqrt((2001**2 - 1) / 12.0)
-        assert sd == pytest.approx(exact, rel=1e-12)
-
-    def test_point_mass_is_zero(self):
-        g = Grid1D(-1.0, 0.5, 5)
-        dens = np.zeros(5)
-        dens[3] = 7.0
-        assert std_dev(dens, g) == 0.0
-
-    def test_negative_density_rejected(self):
-        g = Grid1D(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            std_dev(np.array([1.0, -0.1, 1.0]), g)
-
-    def test_zero_mass_rejected(self):
-        g = Grid1D(0.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            std_dev(np.zeros(3), g)

@@ -122,6 +122,16 @@ class TestParsevalAndMoments:
         assert [m["k2_mean"] for m in moments] == pytest.approx(
             [(math.pi / a) ** 2 for a in BOX_WIDTHS], rel=1e-12, abs=0.0)
 
+    def test_unit_box_quadrature_meets_closed_moments(self):
+        # The closed forms test_moments checks box_moments against, checked once by
+        # quadrature over the unit box in s = x/a: delta_s^2 = int s^2 psi^2 ds (mean s = 0
+        # by symmetry) and a^2 <k^2> = int (dpsi/ds)^2 ds.
+        unit = BoxState(1.0)
+        s2 = integrate(lambda s: s * s * unit.psi(s) ** 2, -0.5, 0.5, 1e-10)
+        k2_s = integrate(lambda s: (math.sqrt(2.0) * math.pi * np.sin(math.pi * s)) ** 2, -0.5, 0.5)
+        assert abs(math.sqrt(s2) - math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * math.pi**2))) <= 1e-7
+        assert abs(k2_s - math.pi**2) <= 1e-7 * math.pi**2
+
     @pytest.mark.parametrize("fn", [box_parseval, box_k2_spectral, box_moments,
                                     released_energy_spread, BoxState])
     @pytest.mark.parametrize("a", [1e-200, 2.3e-154, 2.2e154, 1e200, math.inf])

@@ -17,7 +17,6 @@ from evlab.tolman import (
     ordering_in_frame,
     round_trip,
     tradeoff_sweep,
-    velocity_addition,
 )
 
 
@@ -45,16 +44,6 @@ class TestLorentz:
         e = lorentz(Event(1.0, 1.0), Boost(1.5), units)  # legal: 1.5 < c = 2
         g = 1.0 / math.sqrt(1.0 - (1.5 / 2.0) ** 2)
         assert e.t == pytest.approx(g * (1.0 - 1.5 / 4.0))
-
-
-class TestVelocityAddition:
-    def test_light_speed_fixed_point(self):
-        assert velocity_addition(1.0, 0.9) == pytest.approx(1.0)
-
-    def test_symmetric_and_subluminal(self):
-        v = velocity_addition(0.8, 0.8)
-        assert v == pytest.approx(1.6 / 1.64)
-        assert v < 1.0
 
 
 class TestIntervalAndOrdering:
