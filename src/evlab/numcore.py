@@ -6,13 +6,18 @@ are the default throughout the library.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_QUAD_DEPTH = 60
-MAX_QUAD_PANELS = 1 << 16  # bisection is breadth-first: caps an unresolvable integrand's memory
+MAX_QUAD_DEPTH = 60  # halvings of [a, b]; a refinement round makes _SPLIT_HALVINGS of them
+# Most panels a round may leave, checked before its f call: refinement is breadth-first,
+# so this caps an unresolvable integrand's memory.
+MAX_QUAD_PANELS = 1 << 16
+_SPLIT_HALVINGS = 4
+_SPLIT = 1 << _SPLIT_HALVINGS  # sub-panels of each panel a round refines
 
 
 class IntegrationError(RuntimeError):
@@ -126,10 +131,12 @@ def _panels(f, lo, hi):
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) quadrature of f over [a, b].
 
-    f maps an array of abscissae to an array of the same shape, one call for the endpoints
-    and one per bisection round. The result I satisfies |I - integral| <= tol * max(1, |I|)
-    within MAX_QUAD_DEPTH rounds and MAX_QUAD_PANELS panels, or an IntegrationError carries
-    the best estimate. The rule is absolute below |I| = 1: callers scale f so that I is O(1).
+    f maps an array of abscissae to an array of the same shape, one call for the endpoints,
+    one for [a, b] and one per refinement round, on the 16 equal sub-panels of every panel
+    over budget. The result I satisfies |I - integral| <= tol * max(1, |I|) within
+    MAX_QUAD_DEPTH halvings of [a, b] (four per round) and MAX_QUAD_PANELS panels, or an
+    IntegrationError carries the best estimate. The rule is absolute below |I| = 1: callers
+    scale f so that I is O(1).
     """
     if not a < b:
         raise ValueError(f"require a < b, got a={a}, b={b}")
@@ -138,17 +145,21 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     if not np.all(np.isfinite(f(np.array([a, b], dtype=float)))):
         raise ValueError("integrand not finite at interval endpoints")
     panels = _panels(f, np.array([a], dtype=float), np.array([b], dtype=float))
-    for rounds in range(MAX_QUAD_DEPTH + 1):
+    for rounds in itertools.count():
         lo, hi, value, error = panels
         total = float(value.sum())
         budget = tol * max(1.0, abs(total))
         if error.sum() <= budget:
             return total
-        if rounds == MAX_QUAD_DEPTH or lo.size > MAX_QUAD_PANELS:
-            raise IntegrationError(f"quadrature did not converge in {rounds} rounds", total)
-        # Bisect every panel whose error exceeds an equal share of the budget;
-        # the others keep their values and may be split in a later round.
+        # Refine every panel whose error exceeds an equal share of the budget;
+        # the others keep their values and may be refined in a later round.
         split = error > budget / error.size
-        mid = 0.5 * (lo[split] + hi[split])
-        halves = _panels(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
-        panels = np.concatenate([panels[:, ~split], halves], axis=1)
+        count = error.size + (_SPLIT - 1) * int(split.sum())
+        if (rounds + 1) * _SPLIT_HALVINGS > MAX_QUAD_DEPTH or count > MAX_QUAD_PANELS:
+            raise IntegrationError(f"quadrature did not converge in {rounds} rounds", total)
+        # Four bisections in one go: the sub-panels have the edges bisection would reach.
+        lo, hi = lo[split], hi[split]
+        for _ in range(_SPLIT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        panels = np.concatenate([_panels(f, lo, hi), panels[:, ~split]], axis=1)

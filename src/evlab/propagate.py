@@ -222,7 +222,9 @@ def evolve_wave(
         raise ValueError(f"{name} must have shape ({grid.count},), got {start.shape}")
     dx, c = grid.dx, units.c
     dt = courant * dx / c
-    kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
+    _require_all(kc2dt2 < math.inf, profile.cutoff_kc, "(c dt k_c)^2 overflows at k_c={}")
     inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)  # x * inv_w is bitwise numpy's complex x / w
     c2 = courant**2
     psi0 = np.asarray(initial.values, dtype=complex)

@@ -195,10 +195,18 @@ def relativistic_wavenumber(
     """Wavenumber from (E - U0)^2 = (hbar k c)^2 + (m0 c^2)^2.
 
     Principal branch: k is purely imaginary (evanescent) exactly when
-    |E - U0| < m0 c^2.
+    |E - U0| < m0 c^2. The difference of squares is formed as
+    (|E - U0| - m0 c^2)(|E - U0| + m0 c^2) with both energies scaled by one
+    power of two, exactly, so that it neither overflows nor underflows.
     """
     if not m0 >= 0:
         raise ValueError(f"rest mass must be non-negative, got m0={m0}")
     hbar, c = units.hbar, units.c
-    x = (E - U0) ** 2 - (m0 * c**2) ** 2
-    return (complex(math.sqrt(x)) if x >= 0 else 1j * math.sqrt(-x)) / (hbar * c)
+    energy, rest = abs(E - U0), m0 * c**2
+    _, e = math.frexp(max(energy, rest))
+    energy, rest = math.ldexp(energy, -e), math.ldexp(rest, -e)
+    x = (energy - rest) * (energy + rest)
+    k = math.ldexp(math.sqrt(abs(x)), e) / (hbar * c)
+    if not k < math.inf:  # NaN fails too
+        raise ValueError(f"the relativistic wavenumber is not finite at m0={m0} (E={E}, U0={U0})")
+    return complex(k) if x >= 0 else 1j * k

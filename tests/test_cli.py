@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -120,6 +121,10 @@ class TestExitCodes:
         (["ftir", "--omega", "nan"], "omega must be finite, got omega=nan"),
         (["ftir", "--report-alpha", "--kappa-d", "inf"], "kappa_d=inf"),
         (["stationary", "--u0", "2", "--sweep-e", "0.2:1.8:3", "--e", "nan"], "e=nan"),
+        # (c dt k_c)^2, or the relativistic k itself, leaves the double range.
+        (["propagate", "--steps", "10", "--barrier-kc", "1e200"], "k_c=1e+200"),
+        (["stationary", "--u0", "2", "--e", "1", "--m0", "1e300", "--units", "si-photon"],
+         "m0=1e+300"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -129,10 +134,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["propagate", "--steps", "10", "--snapshot-stride", "0"],
         ["ftir", "--report-alpha", "--kappa-d", "inf"],
+        ["propagate", "--steps", "10", "--barrier-kc", "1e200"],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):
-        assert invoke(argv + ["--output-dir", "z"], tmp_path, monkeypatch) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(argv + ["--output-dir", "z"], tmp_path, monkeypatch) == 1
         assert not (tmp_path / "z").exists()
         assert capsys.readouterr().out == ""
 
@@ -160,8 +168,8 @@ class TestExitCodes:
         assert code == 0
 
     def test_arithmetic_error_is_1(self, tmp_path, monkeypatch, capsys):
-        # (E - U0)^2 overflows in the relativistic wavenumber.
-        code = invoke(["stationary", "--u0", "1e200", "--e", "1", "--m0", "1"],
+        # The gap's transfer divides by zero at omega = 1e-300.
+        code = invoke(["ftir", "--omega", "1e-300", "--gap-d", "1"],
                       tmp_path, monkeypatch)
         assert code == 1
         assert "numerical error:" in capsys.readouterr().err
@@ -175,6 +183,13 @@ class TestExitCodes:
         assert invoke(argv, tmp_path, monkeypatch) == 0
         row = (tmp_path / table).read_text().strip().split("\n")[1]
         assert all(math.isfinite(float(v)) for v in row.split(","))
+
+    def test_huge_rest_mass_is_evanescent(self, tmp_path, monkeypatch):
+        # (m0 c^2)^2 = 1e400 is not a double, but k = i sqrt(m0^2 - 1) is.
+        argv = ["stationary", "--u0", "2", "--e", "1", "--m0", "1e200"]
+        assert invoke(argv, tmp_path, monkeypatch) == 0
+        k = load_summary(tmp_path, "stationary")["outputs"]["relativistic_wavenumber"]
+        assert k["re"] == 0.0 and k["im"] == pytest.approx(1e200, rel=1e-15)
 
     def test_opaque_gap_experiment_report(self, tmp_path, monkeypatch):
         code = invoke(["ftir", "--experiment-report", "--kappa-d", "1000"],

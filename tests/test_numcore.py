@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from evlab import spectral
 from evlab.ftir import goos_hanchen_estimate
 from evlab.numcore import (
     Grid1D,
@@ -135,6 +136,24 @@ class TestIntegrate:
         f = lambda x: np.where(x < c, 0.0, 1.0)
         assert integrate(f, 0.0, 1e6, 1e-12) == pytest.approx(1e6 - c, rel=1e-12)
 
+    @pytest.mark.parametrize("f, a, b, tol, most", [
+        (lambda x: 1.0 / (math.pi * (1.0 + x * x)), -1e4, 1e4, 1e-10, 6),
+        (lambda x: 1e-6 / (math.pi * (x * x + 1e-6 * 1e-6)), -1e3, 1e3, 1e-10, 10),
+        (lambda x: np.where(x < 1e6 / math.sqrt(2.0), 0.0, 1.0), 0.0, 1e6, 1e-12, 12),
+        (spectral._unit_lorentzian, -1e4, 1e4, 1e-10, 6),
+    ], ids=["broad-lorentzian", "sharp-lorentzian", "jump", "unit-lorentzian"])
+    def test_few_integrand_calls(self, f, a, b, tol, most):
+        # One call for the endpoints, one for [a, b] and one per refinement round:
+        # each round splits a panel over budget into 16, so few rounds are needed.
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        integrate(counted, a, b, tol)
+        assert len(calls) <= most
+
     def test_depth_cap_raises_with_best_estimate(self, monkeypatch):
         import evlab.numcore as numcore
         monkeypatch.setattr(numcore, "MAX_QUAD_DEPTH", 10)
@@ -148,7 +167,7 @@ class TestIntegrate:
         import evlab.numcore as numcore
         monkeypatch.setattr(numcore, "MAX_QUAD_PANELS", 256)
         # Oscillation far below double-precision spacing looks like noise: no
-        # panel ever converges, so every round doubles the panel count.
+        # panel ever converges, so every round multiplies the panel count by 16.
         sizes = []
 
         def f(x):

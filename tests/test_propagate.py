@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestWaveSolver:
         t = record.times[-1]
         expected = 0.5 * (smooth_bump(x - t, -5.0, 3.0) + smooth_bump(x + t, -5.0, 3.0))
         assert np.max(np.abs(final - expected)) < 5e-3
+
+    def test_overflowing_cutoff_named_without_warning(self):
+        # k_c = 1e200 on a grid with c dt = 0.05: (c dt k_c)^2 is not a double.
+        grid = Grid1D(-5.0, 0.05, 256)
+        kc = np.where(grid.points() > 2.0, 1e200, np.where(grid.points() > 1.0, 3.0, 0.0))
+        psi0 = smooth_bump(grid.points(), 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"k_c=1e\+200"):
+                evolve_wave(WavePacket(grid, psi0), MediumProfile(grid, kc), 1.0, 10,
+                            initial_prev=psi0)
 
     def test_profile_validation(self):
         grid = Grid1D(0.0, 0.1, 16)

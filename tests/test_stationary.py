@@ -223,3 +223,25 @@ class TestRelativisticWavenumber:
     def test_negative_rest_mass_rejected(self):
         with pytest.raises(ValueError):
             relativistic_wavenumber(1.0, 0.5, -1.0)
+
+    # sqrt|(E - U0)^2 - m0^2| at the doubles given, recorded offline with mpmath at 50 digits.
+    @pytest.mark.parametrize("E, U0, m0, evanescent, closed_form", [
+        (1.0, 2.0, 1e200, True, 9.999999999999999697331222e+199),
+        (1.0, 2.0, 1.7e308, True, 1.699999999999999938830796e+308),
+        (1.5e308, 1e-300, 1e308, False, 1.118033988749894860479553e+308),
+        (2.0, 1.0, 1.0 - 2.0**-30, False, 4.315837286510689681311025e-05),
+        (3.0, 1.0, 2.0 - 2.0**-51, False, 4.214684851089402944734889e-08),
+        (1e-310, 0.0, 5e-311, False, 8.660254037844217385511935e-311),
+    ])
+    def test_extreme_points_meet_recorded_values(self, E, U0, m0, evanescent, closed_form):
+        # Squares out of the double range, a near-cancelling gap, subnormal energies.
+        k = relativistic_wavenumber(E, U0, m0)
+        assert (k.real == 0.0) == evanescent
+        # One subnormal ulp of slack for the last row.
+        assert abs(k) == pytest.approx(closed_form, rel=1e-15, abs=5e-324)
+
+    @pytest.mark.parametrize("units", [UnitSystem(hbar=1e-10), UnitSystem(c=1e10)])
+    def test_overflowing_wavenumber_names_m0(self, units):
+        # k = 1e310, or m0 c^2 = 1e320: neither is a double.
+        with pytest.raises(ValueError, match=r"m0=1e\+300"):
+            relativistic_wavenumber(1.0, 2.0, 1e300, units)
