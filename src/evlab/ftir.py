@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket
+from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, _require_all
 from .stationary import _phase_rate, _slab_field, match_evanescent_slab
 
 
@@ -207,12 +207,68 @@ def interior_field(
     return WavePacket(signal.grid, np.fft.fft(S * weights))
 
 
-def _fractional_shift(values: np.ndarray, lag: float) -> np.ndarray:
-    """Shift a sampled signal by a (fractional) number of samples via the
-    FFT phase ramp; exact for band-limited content."""
-    n = len(values)
-    freqs = np.fft.fftfreq(n)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-2j * math.pi * freqs * lag))
+_SQRT_EPS, _GOLDEN = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_min(f, lo: float, hi: float, xatol: float):
+    """(x, f(x)) at the minimum of f on [lo, hi] by Brent's bounded method (R. P.
+    Brent, 1973), step for step as scipy's minimize_scalar(method="bounded") takes
+    it, so both agree bitwise: a parabola through the three best points where it
+    is acceptable, a golden-section step otherwise, at most 500 evaluations."""
+    a, b = lo, hi
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    ffulc = fnfc = fx = f(xf)
+    num, rat, e = 1, 0.0, 0.0
+    while num < 500:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm < xf else tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf, fx
+
+
+def _unit_magnitude(env: WavePacket, name: str) -> np.ndarray:
+    """|env| at unit L2 norm, first scaled by the power of two of its maximum:
+    exact, and the norm cannot overflow or underflow at any finite scale."""
+    _require_all(np.isfinite(env.values), env.values, f"{name} must be finite, got sample {{}}")
+    m = np.abs(env.values)
+    m = np.ldexp(m, -np.frexp(m.max())[1])
+    norm = np.linalg.norm(m)
+    if norm == 0:
+        raise ValueError(f"zero-energy envelope: {name}")
+    return m / norm
 
 
 def reshaping_distance(input_env: WavePacket, output_env: WavePacket) -> float:
@@ -220,31 +276,27 @@ def reshaping_distance(input_env: WavePacket, output_env: WavePacket) -> float:
     magnitudes, minimized over relative time shift.
 
     Zero means the output is a pure delay plus scaling of the input; any
-    positive value is genuine reshaping.
+    positive value is genuine reshaping. Brent's bounded method (`_bounded_min`,
+    xatol = 1e-12, at most 500 evaluations) finds the shift in lag0 +- 2 samples
+    of the cross-correlation peak lag0; each trial shift is one FFT phase ramp.
     """
-    from scipy.optimize import minimize_scalar  # ~0.5 s to import; no CLI path needs it
     if input_env.grid.dx != output_env.grid.dx:
         raise ValueError("envelopes must share the sample spacing")
     if input_env.grid.count != output_env.grid.count:
         raise ValueError("envelopes must share the sample count")
-    a = np.abs(input_env.values)
-    b = np.abs(output_env.values)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("zero-energy envelope")
-    a = a / na
-    b = b / nb
+    a = _unit_magnitude(input_env, "input_env")
+    b = _unit_magnitude(output_env, "output_env")
     n = len(a)
+    B = np.fft.fft(b)
+    ramp = -2j * math.pi * np.fft.fftfreq(n)
     # Coarse alignment: circular cross-correlation peak.
-    corr = np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(b))).real
+    corr = np.fft.ifft(np.fft.fft(a) * np.conj(B)).real
     lag0 = int(np.argmax(corr))
     if lag0 > n // 2:
         lag0 -= n
 
     def dist(lag: float) -> float:
-        shifted = np.abs(_fractional_shift(b, lag))
+        shifted = np.abs(np.fft.ifft(B * np.exp(ramp * lag)))
         return float(np.linalg.norm(a - shifted))
 
-    res = minimize_scalar(dist, bounds=(lag0 - 2.0, lag0 + 2.0),
-                          method="bounded", options={"xatol": 1e-12})
-    return float(min(res.fun, dist(lag0)))
+    return float(min(_bounded_min(dist, lag0 - 2.0, lag0 + 2.0, 1e-12)[1], dist(lag0)))

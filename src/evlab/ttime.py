@@ -50,9 +50,12 @@ def _check_tunneling_range(E, U0: float):
 
 
 def esposito_time(E, U0: float, units: UnitSystem = NATURAL_UNITS):
-    """tau = hbar / sqrt(E (U0 - E)), defined only for 0 < E < U0."""
+    """tau = hbar / sqrt(E (U0 - E)), defined only for 0 < E < U0; taken on E and U0
+    scaled exactly by a power of two, so the scale of U0 cannot over- or underflow E (U0 - E)."""
     _check_tunneling_range(E, U0)
-    return units.hbar / np.sqrt(E * (U0 - E))
+    scale = math.frexp(U0)[1]
+    E, U0 = np.ldexp(E, -scale), math.ldexp(U0, -scale)
+    return np.ldexp(units.hbar / np.sqrt(E * (U0 - E)), -scale)
 
 
 def esposito_factor(E, U0: float):

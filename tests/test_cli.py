@@ -191,6 +191,15 @@ class TestExitCodes:
         k = load_summary(tmp_path, "stationary")["outputs"]["relativistic_wavenumber"]
         assert k["re"] == 0.0 and k["im"] == pytest.approx(1e200, rel=1e-15)
 
+    @pytest.mark.parametrize("u0", [1e300, 1e-300])
+    def test_ttime_at_extreme_scales(self, tmp_path, monkeypatch, u0):
+        # E (U0 - E) over- or underflows; tau = hbar / sqrt(E (U0 - E)) = 2/U0 does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(["ttime", "--u0", repr(u0), "--e", "0.5"], tmp_path, monkeypatch) == 0
+        (row,) = load_rows(tmp_path / "ttime.csv")
+        assert row["esposito_tau"] == pytest.approx(2.0 / u0, rel=1e-15, abs=0.0)
+
     def test_opaque_gap_experiment_report(self, tmp_path, monkeypatch):
         code = invoke(["ftir", "--experiment-report", "--kappa-d", "1000"],
                       tmp_path, monkeypatch)
@@ -573,16 +582,14 @@ class TestCachedState:
             cli._summary_validator().validate(summary)
 
 
-# Run in a fresh interpreter: every CLI path but the Schrodinger split step
-# leaves scipy.optimize and scipy.fft unimported, and the paths that need
-# them still load them on first use.
+# Run in a fresh interpreter: no path loads scipy.optimize, the reshaping
+# distance included, and only the Schrodinger split step loads scipy.fft.
 IMPORT_BUDGET = """
 import sys
 import numpy as np
 from evlab import cli, ftir
 from evlab.numcore import Grid1D, WavePacket
 
-DEFERRED = {"scipy.optimize", "scipy.fft"}
 deck = [
     ["stationary", "--u0", "2", "--e", "1"],
     ["ttime", "--u0", "2", "--e", "1"],
@@ -593,16 +600,16 @@ deck = [
 ]
 for i, argv in enumerate(deck):
     assert cli.run([*argv, "--output-dir", f"run_{i}"]) == 0, argv
-loaded = DEFERRED.intersection(sys.modules)
-assert not loaded, loaded
-assert cli.run(["propagate", "--mode", "schrodinger", "--steps", "40",
-                "--output-dir", "schrodinger"]) == 0
-assert "scipy.fft" in sys.modules
 grid = Grid1D(-20.0, 0.05, 800)
 pulse = lambda t0: np.exp(-0.5 * (grid.points() - t0) ** 2)
 assert ftir.reshaping_distance(WavePacket(grid, pulse(0.0)),
                                WavePacket(grid, 0.3 * pulse(3.0))) < 1e-12
-assert "scipy.optimize" in sys.modules
+loaded = {"scipy.optimize", "scipy.fft"}.intersection(sys.modules)
+assert not loaded, loaded
+assert cli.run(["propagate", "--mode", "schrodinger", "--steps", "40",
+                "--output-dir", "schrodinger"]) == 0
+assert "scipy.fft" in sys.modules
+assert "scipy.optimize" not in sys.modules
 print("ok")
 """
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from evlab.numcore import Grid1D, WavePacket
 from evlab.ftir import (
     GapSpec,
+    _bounded_min,
     NotEvanescentError,
     gap_decay,
     gap_group_delay,
@@ -236,3 +238,91 @@ class TestReshapingDistance:
         b = gaussian_pulse(20.0, 0.5, n=2048)
         with pytest.raises(ValueError):
             reshaping_distance(a, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["input_env", "output_env"])
+    def test_non_finite_sample_named(self, bad, which):
+        pulse = gaussian_pulse(20.0, 0.5, n=512)
+        values = pulse.values.copy()
+        values[9] = bad
+        envs = {"input_env": pulse, "output_env": pulse, which: WavePacket(pulse.grid, values)}
+        with pytest.raises(ValueError, match=f"{which} must be finite, got sample .*{bad}"):
+            reshaping_distance(envs["input_env"], envs["output_env"])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e308])
+    def test_delay_at_extreme_scales_is_not_reshaping(self, scale):
+        # The norm of these magnitudes over- or underflows unless they are rescaled.
+        pulse = gaussian_pulse(20.0, 0.3, n=512)
+        copy = WavePacket(pulse.grid, scale * np.roll(pulse.values, 7))
+        assert reshaping_distance(pulse, copy) < 1e-15
+        assert reshaping_distance(copy, pulse) < 1e-15
+
+    def test_zero_envelope_rejected(self):
+        pulse = gaussian_pulse(20.0, 0.5, n=512)
+        with pytest.raises(ValueError, match="zero-energy envelope: output_env"):
+            reshaping_distance(pulse, WavePacket(pulse.grid, np.zeros(512)))
+
+
+def scipy_bounded(f, lo, hi, xatol):
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun)
+
+
+class TestBoundedMin:
+    """_bounded_min is a port of scipy's minimize_scalar(method="bounded"):
+    the same x and f(x), bit for bit."""
+
+    OBJECTIVES = {
+        "smooth": lambda c, s: lambda x: s * (x - c) ** 2 + 1.0,
+        "v_shaped": lambda c, s: lambda x: s * abs(x - c),
+        "multi_minimum": lambda c, s: lambda x: math.cos(3.0 * x + c) + 0.1 * s * x,
+        "constant": lambda c, s: lambda x: c,
+    }
+
+    @pytest.mark.parametrize("xatol", [1e-12, 1e-5])
+    @pytest.mark.parametrize("kind", sorted(OBJECTIVES))
+    def test_seeded_objectives_match_scipy(self, kind, xatol):
+        rng = np.random.default_rng(sorted(self.OBJECTIVES).index(kind))
+        for _ in range(50):
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + rng.uniform(0.01, 20.0)
+            f = self.OBJECTIVES[kind](rng.uniform(lo, hi), rng.uniform(0.1, 10.0))
+            assert _bounded_min(f, lo, hi, xatol) == scipy_bounded(f, lo, hi, xatol)
+
+    @pytest.mark.parametrize("xatol", [1e-12, 1e-5])
+    def test_minimum_at_a_bound_matches_scipy(self, xatol):
+        for c in (-3.0, 7.0):
+            f = lambda x: (x - c) ** 2
+            x, fx = _bounded_min(f, -1.0, 2.0, xatol)
+            assert (x, fx) == scipy_bounded(f, -1.0, 2.0, xatol)
+            assert abs(x - min(max(c, -1.0), 2.0)) < 1e-4
+
+    def test_stops_after_500_evaluations(self):
+        # With xatol = 0 the bracket around x = 0 never closes.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x
+
+        assert _bounded_min(f, -1.0, 1.0, 0.0) == scipy_bounded(lambda x: x * x, -1.0, 1.0, 0.0)
+        assert len(calls) == 500
+
+    def test_reshaping_objective_matches_scipy(self):
+        # The reshaping objective as once written: a fresh FFT of b per trial shift.
+        pulse = gaussian_pulse(20.0, 0.25, n=2048)
+        out = transmit_pulse(pulse, GapSpec(1.5, math.pi / 4.0, 2.0 / (glass_alpha() * 20.0)))
+        a = np.abs(pulse.values) / np.linalg.norm(np.abs(pulse.values))
+        b = np.abs(out.values) / np.linalg.norm(np.abs(out.values))
+        freqs = np.fft.fftfreq(len(b))
+
+        def dist(lag):
+            shifted = np.fft.ifft(np.fft.fft(b) * np.exp(-2j * math.pi * freqs * lag))
+            return float(np.linalg.norm(a - np.abs(shifted)))
+
+        corr = np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(b))).real
+        lag0 = int(np.argmax(corr))
+        lag0 -= len(b) if lag0 > len(b) // 2 else 0
+        x, fx = scipy_bounded(dist, lag0 - 2.0, lag0 + 2.0, 1e-12)
+        assert _bounded_min(dist, lag0 - 2.0, lag0 + 2.0, 1e-12) == (x, fx)
+        assert reshaping_distance(pulse, out) == min(fx, dist(lag0))

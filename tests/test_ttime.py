@@ -98,6 +98,13 @@ class TestClosedForms:
             0.999999 * U0, U0
         ) > 1e3 * esposito_time_factor_form(esposito_special_energy(U0), U0)
 
+    @pytest.mark.parametrize("U0", [1e300, 1e-300])
+    def test_esposito_time_at_extreme_scales(self, U0):
+        # E (U0 - E) over- or underflows a double at these scales; tau = 2/U0 does not.
+        with np.errstate(all="raise"):
+            tau = esposito_time(0.5 * U0, U0)
+        assert tau == pytest.approx(2.0 / U0, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("fn", [esposito_time, esposito_factor,
                                     esposito_time_factor_form])
     def test_pathological_regime_raises(self, fn):
