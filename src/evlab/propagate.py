@@ -12,7 +12,9 @@ Two solvers live here on purpose:
 * a split-step spectral integrator for the non-relativistic Schrodinger
   equation, which has no finite front at all (one step spreads compact data
   everywhere) and therefore cannot test the front theorem - it is here for
-  the dispersive-spreading claims about massive particles.
+  the dispersive-spreading claims about massive particles. With no potential
+  the half-step factor exp(-i U dt / 2 hbar) is exactly 1, so a free run
+  stays in k-space and transforms back only the steps it records.
 """
 
 from __future__ import annotations
@@ -115,27 +117,27 @@ def _measure(grid: Grid1D, values: np.ndarray, epsilon: float, keep: bool, norm:
 
 def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields,
               keep_every: int = 1, norm_tol: float | None = None):
-    """Record step 0, every record_every-th step and the last of `fields`
-    (the field at steps 0, 1, ..., steps, which may be one reused buffer) at
-    times n*dt, each with its front (at 1e-10 of the initial peak |psi|) and
-    peak. Only every keep_every-th record keeps a WavePacket copy of its
-    field (keep_every = 0 keeps none). With norm_tol, a record whose norm
-    drifts from the initial norm by more than norm_tol raises NormDriftError."""
+    """Record step 0, every record_every-th step and the last at times n*dt,
+    each with its front (at 1e-10 of the initial peak |psi|) and peak.
+    fields(schedule) yields the field at each step of the ascending list
+    `schedule`, and may reuse one buffer. Only every keep_every-th record keeps
+    a WavePacket copy of its field (keep_every = 0 keeps none). With norm_tol,
+    a record whose norm drifts from the initial norm by more than norm_tol
+    raises NormDriftError."""
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     if keep_every < 0:
         raise ValueError(f"keep_every must be at least 0, got {keep_every}")
-    psi0 = next(fields)
+    schedule = [*range(0, steps, record_every), steps]
+    stream = fields(schedule)
+    psi0 = next(stream)
     amp0 = np.abs(psi0).max()
     if not 0 < amp0 < math.inf:
         raise ValueError(f"initial field must be finite and non-zero, got max |psi| = {amp0}")
     epsilon = 1e-10 * amp0
     check_norm = norm_tol is not None
-    recorded, snapshots, kept, fronts, peaks = [], [], [], [], []
-    for n, psi in enumerate(itertools.chain([psi0], fields)):
-        if n % record_every and n != steps:
-            continue
-        i = len(recorded)
+    snapshots, kept, fronts, peaks = [], [], [], []
+    for i, (n, psi) in enumerate(zip(schedule, itertools.chain([psi0], stream))):
         keep = keep_every > 0 and i % keep_every == 0
         packet, front, peak, norm = _measure(grid, psi, epsilon, keep, check_norm)
         if check_norm:
@@ -146,11 +148,10 @@ def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields,
         if keep:
             snapshots.append(packet)
             kept.append(i)
-        recorded.append(n)
         fronts.append(front)
         peaks.append(peak)
     return PropagationRecord(
-        times=np.asarray(recorded) * dt, snapshots=snapshots,
+        times=np.asarray(schedule) * dt, snapshots=snapshots,
         front_positions=np.asarray(fronts), peak_positions=np.asarray(peaks),
         snapshot_indices=np.asarray(kept, dtype=int),
     )
@@ -241,29 +242,32 @@ def evolve_wave(
     if not (psi0.imag.any() or prev.imag.any()):
         psi0, prev = psi0.real, prev.real
 
-    def fields(prev, curr, nxt, lap):
-        yield curr
-        for n in range(1, steps + 1):
-            # (2 curr + c2 lap(curr)) / w - prev, in place and in that order.
-            np.multiply(2.0, curr, out=nxt)
-            np.subtract(curr[2:], nxt[1:-1], out=lap[1:-1])
-            np.add(lap[1:-1], curr[:-2], out=lap[1:-1])
-            np.multiply(c2, lap, out=lap)
-            np.add(nxt, lap, out=nxt)
-            np.multiply(nxt, inv_w, out=nxt)
-            np.subtract(nxt, prev, out=nxt)
-            prev, curr, nxt = curr, nxt, prev
-            # The stencil leaves the outermost cells untouched; the cells next
-            # to them are the first to feel an arriving front.
-            if abs(curr[1]) > edge_limit or abs(curr[-2]) > edge_limit:
-                raise BoundaryContactError(
-                    f"support reached the grid boundary at step {n}; enlarge the grid"
-                )
-            yield curr
-
     # Fresh buffers, never the caller's arrays; lap's edge cells stay 0.
     buffers = prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0)
-    return _recorded(grid, dt, steps, record_every, fields(*buffers), keep_every)
+
+    def fields(schedule):
+        prev, curr, nxt, lap = buffers
+        yield curr
+        for last, target in itertools.pairwise(schedule):
+            for n in range(last + 1, target + 1):
+                # (2 curr + c2 lap(curr)) / w - prev, in place and in that order.
+                np.multiply(2.0, curr, out=nxt)
+                np.subtract(curr[2:], nxt[1:-1], out=lap[1:-1])
+                np.add(lap[1:-1], curr[:-2], out=lap[1:-1])
+                np.multiply(c2, lap, out=lap)
+                np.add(nxt, lap, out=nxt)
+                np.multiply(nxt, inv_w, out=nxt)
+                np.subtract(nxt, prev, out=nxt)
+                prev, curr, nxt = curr, nxt, prev
+                # The stencil leaves the outermost cells untouched; the cells next
+                # to them are the first to feel an arriving front.
+                if abs(curr[1]) > edge_limit or abs(curr[-2]) > edge_limit:
+                    raise BoundaryContactError(
+                        f"support reached the grid boundary at step {n}; enlarge the grid"
+                    )
+            yield curr
+
+    return _recorded(grid, dt, steps, record_every, fields, keep_every)
 
 
 def evolve_schrodinger(
@@ -281,7 +285,10 @@ def evolve_schrodinger(
 
     Recorded and kept as in evolve_wave. The norm is checked on every
     recorded step, kept or not: drift beyond norm_tol raises NormDriftError
-    naming the first such step.
+    naming the first such step. With U zero everywhere, exp_V_half is exactly
+    1, so each step's ifft cancels the next step's fft: such a run transforms
+    the initial field once, steps it as exp_K * phi in k-space and transforms
+    back only the steps it records.
     """
     import scipy.fft  # loaded on first use, so wave-mode runs never pay for it
     if not (0 < mass < math.inf and 0 < dt < math.inf) or steps < 1:
@@ -290,27 +297,40 @@ def evolve_schrodinger(
     U = np.asarray(potential_U, dtype=float)
     if U.shape != (grid.count,):
         raise ValueError("potential length must match grid count")
-    if not np.all(np.isfinite(U)):
-        raise ValueError("potential must be finite")
+    _require_all(np.isfinite(U), U, "potential must be finite")
     hbar = units.hbar
     k = 2.0 * math.pi * np.fft.fftfreq(grid.count, grid.dx)
-    exp_V_half = np.exp(-0.5j * U * dt / hbar)
-    exp_K = np.exp(-0.5j * hbar * k**2 * dt / mass)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        exp_V_half = np.exp(-0.5j * U * dt / hbar)
+        exp_K = np.exp(-0.5j * hbar * k**2 * dt / mass)
+    _require_all(np.isfinite(exp_V_half), U, f"U dt / 2 hbar overflows at U={{}}, {dt=}")
+    _require_all(np.isfinite(exp_K), k,
+                 f"hbar k^2 dt / 2 mass overflows at k={{}}, {dt=}, {mass=}")
 
-    def fields(psi):
+    def fields(schedule):
+        psi = initial.values.copy()
         yield psi
-        for _ in range(steps):
-            # exp_V_half * ifft(exp_K * fft(exp_V_half * psi)), operands in that
-            # order: numpy's complex multiply is not bitwise commutative.
-            np.multiply(exp_V_half, psi, out=psi)
-            psi = scipy.fft.fft(psi, overwrite_x=True)
-            np.multiply(exp_K, psi, out=psi)
-            psi = scipy.fft.ifft(psi, overwrite_x=True)
-            np.multiply(exp_V_half, psi, out=psi)
+        for last, target in itertools.pairwise(schedule):
+            for _ in range(target - last):
+                # exp_V_half * ifft(exp_K * fft(exp_V_half * psi)), operands in that
+                # order: numpy's complex multiply is not bitwise commutative.
+                np.multiply(exp_V_half, psi, out=psi)
+                psi = scipy.fft.fft(psi, overwrite_x=True)
+                np.multiply(exp_K, psi, out=psi)
+                psi = scipy.fft.ifft(psi, overwrite_x=True)
+                np.multiply(exp_V_half, psi, out=psi)
             yield psi
 
+    def free_fields(schedule):
+        phi = scipy.fft.fft(initial.values)
+        yield initial.values
+        for last, target in itertools.pairwise(schedule):
+            for _ in range(target - last):
+                np.multiply(exp_K, phi, out=phi)
+            yield scipy.fft.ifft(phi)
+
     # Drift is checked on the recorded steps: the steps do no extra work.
-    return _recorded(grid, dt, steps, record_every, fields(initial.values.copy()),
+    return _recorded(grid, dt, steps, record_every, fields if U.any() else free_fields,
                      keep_every, norm_tol)
 
 

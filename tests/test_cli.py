@@ -125,6 +125,11 @@ class TestExitCodes:
         (["propagate", "--steps", "10", "--barrier-kc", "1e200"], "k_c=1e+200"),
         (["stationary", "--u0", "2", "--e", "1", "--m0", "1e300", "--units", "si-photon"],
          "m0=1e+300"),
+        # The split step's phases leave the double range: the kinetic one names dt, the
+        # potential one U.
+        (["propagate", "--mode", "schrodinger", "--dt", "1e308"], "dt=1e+308"),
+        (["propagate", "--mode", "schrodinger", "--barrier-kc", "1e300", "--dt", "1e10"],
+         "U=1e+300"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -135,6 +140,8 @@ class TestExitCodes:
         ["propagate", "--steps", "10", "--snapshot-stride", "0"],
         ["ftir", "--report-alpha", "--kappa-d", "inf"],
         ["propagate", "--steps", "10", "--barrier-kc", "1e200"],
+        ["propagate", "--mode", "schrodinger", "--dt", "1e308"],
+        ["propagate", "--mode", "schrodinger", "--barrier-kc", "1e300", "--dt", "1e10"],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):
