@@ -250,14 +250,28 @@ def cmd_ftir(args, out: OutputWriter):
     return f"alpha = {out.outputs['alpha']:.7f}" if args.report_alpha else None
 
 
+def _require_pulse(args, grid: Grid1D, psi0: np.ndarray, *more: np.ndarray):
+    """Name the pulse inputs when the initial field psi0 is zero on the whole
+    grid, or it or any further field is not finite: a pulse far off the grid, say."""
+    if not (psi0.any() and all(np.isfinite(f).all() for f in (psi0, *more))):
+        raise ValueError(
+            "initial pulse is zero or not finite on the grid: "
+            f"pulse_center={args.pulse_center}, pulse_width={args.pulse_width}, "
+            f"x_min={grid.x_min}, x_max={grid.x_max}")
+
+
 def cmd_propagate(args, out: OutputWriter):
     units = UNITS[args.units]
     # Checked before any arithmetic: NaN fails the barrier mask's comparisons
     # silently, and a zero width divides by zero.
     _require_finite(out.inputs, "pulse_center", "pulse_k0", "barrier_start", "barrier_width")
-    if not 0 < args.pulse_width < math.inf:
-        raise ValueError("initial field needs a positive, finite pulse width, "
-                         f"got pulse_width={args.pulse_width}")
+    try:
+        width2 = args.pulse_width**2
+    except OverflowError:
+        width2 = math.inf
+    if not (0 < args.pulse_width and 0 < width2 < math.inf):
+        raise ValueError("initial field needs a positive pulse width with a finite, non-zero "
+                         f"square, got pulse_width={args.pulse_width}")
     grid = Grid1D(args.x_min, args.dx, args.grid_n)
     x = grid.points()
     snapshot_dir = out._target("snapshots") if args.snapshots else None  # refused before the run
@@ -273,15 +287,20 @@ def cmd_propagate(args, out: OutputWriter):
         pulse = lambda s: np.exp(-((s - args.pulse_center) ** 2) / (2.0 * args.pulse_width**2)) \
             * np.cos(args.pulse_k0 * (s - args.pulse_center))
         shift = units.c * args.courant * grid.dx / units.c  # one step back
+        with np.errstate(all="ignore"):  # named below, not warned about
+            psi0, prev = pulse(x), pulse(x + shift)
+        _require_pulse(args, grid, psi0, prev)
         record = propagate.evolve_wave(
-            WavePacket(grid, pulse(x)), profile, args.courant, args.steps,
-            initial_prev=pulse(x + shift), units=units, record_every=args.record_every,
+            WavePacket(grid, psi0), profile, args.courant, args.steps,
+            initial_prev=prev, units=units, record_every=args.record_every,
             keep_every=keep_every,
         )
     else:
-        psi0 = np.exp(-((x - args.pulse_center) ** 2) / (4.0 * args.pulse_width**2)
-                      + 1j * args.pulse_k0 * x)
-        psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
+        with np.errstate(all="ignore"):  # named below, not warned about
+            psi0 = np.exp(-((x - args.pulse_center) ** 2) / (4.0 * args.pulse_width**2)
+                          + 1j * args.pulse_k0 * x)
+            psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * grid.dx)
+        _require_pulse(args, grid, psi0)
         record = propagate.evolve_schrodinger(
             WavePacket(grid, psi0), barrier, units.default_mass, args.dt, args.steps,
             units=units, record_every=args.record_every, keep_every=keep_every,

@@ -290,7 +290,6 @@ def evolve_schrodinger(
     the initial field once, steps it as exp_K * phi in k-space and transforms
     back only the steps it records.
     """
-    import scipy.fft  # loaded on first use, so wave-mode runs never pay for it
     if not (0 < mass < math.inf and 0 < dt < math.inf) or steps < 1:
         raise ValueError(f"mass, dt and steps must be positive, got {mass=}, {dt=}, {steps=}")
     grid = initial.grid
@@ -315,19 +314,19 @@ def evolve_schrodinger(
                 # exp_V_half * ifft(exp_K * fft(exp_V_half * psi)), operands in that
                 # order: numpy's complex multiply is not bitwise commutative.
                 np.multiply(exp_V_half, psi, out=psi)
-                psi = scipy.fft.fft(psi, overwrite_x=True)
+                np.fft.fft(psi, out=psi)
                 np.multiply(exp_K, psi, out=psi)
-                psi = scipy.fft.ifft(psi, overwrite_x=True)
+                np.fft.ifft(psi, out=psi)
                 np.multiply(exp_V_half, psi, out=psi)
             yield psi
 
     def free_fields(schedule):
-        phi = scipy.fft.fft(initial.values)
+        phi = np.fft.fft(initial.values)
         yield initial.values
         for last, target in itertools.pairwise(schedule):
             for _ in range(target - last):
                 np.multiply(exp_K, phi, out=phi)
-            yield scipy.fft.ifft(phi)
+            yield np.fft.ifft(phi)
 
     # Drift is checked on the recorded steps: the steps do no extra work.
     return _recorded(grid, dt, steps, record_every, fields if U.any() else free_fields,

@@ -358,10 +358,10 @@ class TestSchrodingerSolver:
     def test_free_run_transforms_once_per_record(self, monkeypatch):
         calls = {}
         for name in ("fft", "ifft"):
-            def counted(*args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
+            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
                 calls[_name] += 1
                 return _transform(*args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(np.fft, name, counted)
         # 9 records (steps 0, 7, ..., 49 and 50): a free run transforms once forward and
         # once back per record after the first; a barrier run both ways every step.
         for u0, transforms in [(0.0, {"fft": 1, "ifft": 8}), (3.0, {"fft": 50, "ifft": 50})]:
