@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import math
 import os
@@ -122,24 +121,11 @@ class OutputWriter:
             "outputs": self.outputs,
             "warnings": self.warnings,
         }
-        _summary_validator().validate(summary)
         # NaN and inf are not JSON: a run that produced them fails (exit 1).
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.summary_path.write_text(text + "\n")
         return self.summary_path
-
-
-@functools.cache
-def _summary_validator():
-    """The packaged summary schema, checked against its meta-schema once per
-    process, on the first run that needs it rather than at import."""
-    import jsonschema
-
-    text = importlib.resources.files("evlab.schemas").joinpath("summary.schema.json").read_text()
-    schema = json.loads(text)
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema)
 
 
 def cmd_stationary(args, out: OutputWriter):
@@ -273,6 +259,9 @@ def cmd_propagate(args, out: OutputWriter):
         raise ValueError("initial field needs a positive pulse width with a finite, non-zero "
                          f"square, got pulse_width={args.pulse_width}")
     grid = Grid1D(args.x_min, args.dx, args.grid_n)
+    if not abs(args.pulse_k0) < math.pi / grid.dx:  # above it the grid aliases the carrier
+        raise ValueError("pulse carrier must be below the grid's Nyquist wavenumber pi/dx, "
+                         f"got pulse_k0={args.pulse_k0}, dx={grid.dx}")
     x = grid.points()
     snapshot_dir = out._target("snapshots") if args.snapshots else None  # refused before the run
     if args.snapshot_stride < 1:

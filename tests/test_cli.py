@@ -30,8 +30,17 @@ def invoke(args, tmp_path, monkeypatch, env_dir=None):
     return run(args)
 
 
+# The packaged schema is the summary contract; the CLI writes summaries without checking it.
+SUMMARY_SCHEMA = json.loads(
+    importlib.resources.files("evlab.schemas").joinpath("summary.schema.json").read_text())
+SUMMARY_VALIDATOR = jsonschema.Draft202012Validator(SUMMARY_SCHEMA)
+
+
 def load_summary(directory, command):
-    return json.loads((directory / f"{command}_summary.json").read_text())
+    """The run's summary, validated against the packaged schema."""
+    summary = json.loads((directory / f"{command}_summary.json").read_text())
+    SUMMARY_VALIDATOR.validate(summary)
+    return summary
 
 
 def load_rows(path):
@@ -51,6 +60,13 @@ PULSE_CASES = [
     (["--pulse-center", "1e150"], "pulse_center=1e+150"),
     (["--mode", "schrodinger", "--pulse-center", "1e150"], "pulse_center=1e+150"),
     (["--mode", "schrodinger", "--x-min", "1e300"], "x_min=1e+300"),
+]
+
+# Carriers above pi/dx = 62.8 at the default dx = 0.05, in both modes.
+NYQUIST_CASES = [
+    (["propagate", "--pulse-k0", "100"], "pulse_k0=100.0, dx=0.05"),
+    (["propagate", "--mode", "schrodinger", "--pulse-k0", "100"], "pulse_k0=100.0, dx=0.05"),
+    (["propagate", "--mode", "schrodinger", "--pulse-k0", "1e300"], "pulse_k0=1e+300, dx=0.05"),
 ]
 
 
@@ -148,6 +164,8 @@ class TestExitCodes:
         # A width whose square is not a positive double, or a pulse that is zero or not
         # finite on the whole grid: the pulse inputs are named, with no RuntimeWarning.
         *[(PULSE_BASE + argv, named) for argv, named in PULSE_CASES],
+        # A carrier at or above the Nyquist wavenumber pi/dx would be aliased.
+        *NYQUIST_CASES,
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -161,6 +179,7 @@ class TestExitCodes:
         ["propagate", "--mode", "schrodinger", "--dt", "1e308"],
         ["propagate", "--mode", "schrodinger", "--barrier-kc", "1e300", "--dt", "1e10"],
         *[PULSE_BASE + argv for argv, _ in PULSE_CASES],
+        *[argv for argv, _ in NYQUIST_CASES],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):
@@ -558,7 +577,8 @@ class TestSubcommands:
             assert invoke([*argv, *extra, "--output-dir", str(here)], tmp_path, monkeypatch) == 0
             summaries.append((here / f"{argv[0]}_summary.json").read_bytes())
         assert summaries[0] != summaries[1]
-        base, changed = (json.loads(s)["inputs"] for s in summaries)
+        base, changed = (load_summary(tmp_path / name, argv[0])["inputs"]
+                         for name in ("base", "changed"))
         assert base == {"units": "natural", **recorded}
         assert {k for k in base if base[k] != changed[k]} == {option}
         assert changed[option] == type(base[option])(value)
@@ -599,26 +619,27 @@ class TestCachedState:
             assert {p.name: p.read_bytes() for p in here.iterdir()} == fresh[i % len(deck)]
 
     def test_packaged_schema_is_valid_2020_12(self):
-        text = importlib.resources.files("evlab.schemas").joinpath("summary.schema.json").read_text()
-        jsonschema.Draft202012Validator.check_schema(json.loads(text))
+        jsonschema.Draft202012Validator.check_schema(SUMMARY_SCHEMA)
 
-    def test_cached_validator_rejects_non_string_warning(self):
+    def test_packaged_schema_rejects_non_string_warning(self):
         summary = {"command": "x", "inputs": {}, "outputs": {}, "warnings": [1]}
         with pytest.raises(jsonschema.ValidationError):
-            cli._summary_validator().validate(summary)
+            SUMMARY_VALIDATOR.validate(summary)
 
 
-# Run in a fresh interpreter whose import system refuses scipy: every CLI path,
-# both split-step paths and the reshaping distance run without it.
+# Run in a fresh interpreter whose import system refuses scipy and jsonschema: every
+# CLI path, both split-step paths and the reshaping distance run without them.
 IMPORT_BUDGET = """
 import sys
 
-class RefuseScipy:
+REFUSED = ("scipy", "jsonschema")
+
+class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name.split(".")[0] in REFUSED:
             raise ImportError(f"{name} must not be imported")
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 import numpy as np
 from evlab import cli, ftir
 from evlab.numcore import Grid1D, WavePacket
@@ -639,7 +660,7 @@ grid = Grid1D(-20.0, 0.05, 800)
 pulse = lambda t0: np.exp(-0.5 * (grid.points() - t0) ** 2)
 assert ftir.reshaping_distance(WavePacket(grid, pulse(0.0)),
                                WavePacket(grid, 0.3 * pulse(3.0))) < 1e-12
-loaded = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
+loaded = [name for name in sys.modules if name.split(".")[0] in REFUSED]
 assert not loaded, loaded
 print("ok")
 """

@@ -31,9 +31,9 @@ def third_party_imports():
     return names - set(sys.stdlib_module_names) - {"evlab"}
 
 
-def test_runtime_dependencies_are_numpy_and_jsonschema_and_cover_every_import():
+def test_runtime_dependency_is_numpy_alone_and_covers_every_import():
     declared = runtime_dependencies()
-    assert declared == {"numpy", "jsonschema"}
+    assert declared == {"numpy"}
     imported = third_party_imports()
     assert imported, "the walk found no third-party import at all"
     assert imported <= declared, imported - declared
