@@ -236,14 +236,16 @@ def cmd_ftir(args, out: OutputWriter):
     return f"alpha = {out.outputs['alpha']:.7f}" if args.report_alpha else None
 
 
+def _pulse_error(args, grid: Grid1D, problem: str) -> ValueError:
+    return ValueError(f"initial pulse {problem}: pulse_center={args.pulse_center}, "
+                      f"pulse_width={args.pulse_width}, x_min={grid.x_min}, x_max={grid.x_max}")
+
+
 def _require_pulse(args, grid: Grid1D, psi0: np.ndarray, *more: np.ndarray):
     """Name the pulse inputs when the initial field psi0 is zero on the whole
     grid, or it or any further field is not finite: a pulse far off the grid, say."""
     if not (psi0.any() and all(np.isfinite(f).all() for f in (psi0, *more))):
-        raise ValueError(
-            "initial pulse is zero or not finite on the grid: "
-            f"pulse_center={args.pulse_center}, pulse_width={args.pulse_width}, "
-            f"x_min={grid.x_min}, x_max={grid.x_max}")
+        raise _pulse_error(args, grid, "is zero or not finite on the grid")
 
 
 def cmd_propagate(args, out: OutputWriter):
@@ -279,6 +281,9 @@ def cmd_propagate(args, out: OutputWriter):
         with np.errstate(all="ignore"):  # named below, not warned about
             psi0, prev = pulse(x), pulse(x + shift)
         _require_pulse(args, grid, psi0, prev)
+        # evolve_wave's boundary limit on cells 1 and N-2, here on the initial fields.
+        if max(abs(f[i]) for f in (psi0, prev) for i in (1, -2)) > 1e-12 * abs(psi0).max():
+            raise _pulse_error(args, grid, "reaches the cells next to the grid edges")
         record = propagate.evolve_wave(
             WavePacket(grid, psi0), profile, args.courant, args.steps,
             initial_prev=prev, units=units, record_every=args.record_every,

@@ -84,9 +84,10 @@ def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
 
 def _peak(grid: Grid1D, dens: np.ndarray) -> float:
     """Position of the global maximum of dens with quadratic refinement."""
-    if not np.any(dens > 0):
+    i = int(dens.argmax())  # the first NaN, else the first maximum
+    # np.any(dens > 0) in one pass: dens[i] > 0 decides it unless dens[i] is NaN.
+    if not (dens[i] > 0 or math.isnan(dens[i]) and np.any(dens > 0)):
         raise ValueError("zero packet has no peak")
-    i = int(np.argmax(dens))
     x = grid.x_min + grid.dx * i
     if i == 0 or i == grid.count - 1:
         return float(x)
@@ -106,7 +107,7 @@ def _measure(grid: Grid1D, values: np.ndarray, epsilon: float, keep: bool, norm:
         fp = _front(grid, amp, epsilon)
     except ValueError:
         fp = math.nan
-    dens = amp**2
+    dens = np.square(amp, out=amp)  # bitwise amp**2
     return (
         WavePacket(grid, np.array(values, dtype=complex)) if keep else None,
         fp,
@@ -226,7 +227,7 @@ def evolve_wave(
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
         kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
     _require_all(kc2dt2 < math.inf, profile.cutoff_kc, "(c dt k_c)^2 overflows at k_c={}")
-    inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)  # x * inv_w is bitwise numpy's complex x / w
+    inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)  # x * inv_w is complex x / w up to zeros' signs
     c2 = courant**2
     psi0 = np.asarray(initial.values, dtype=complex)
     edge_limit = 1e-12 * np.abs(psi0).max()
@@ -239,8 +240,13 @@ def evolve_wave(
         lap[1:-1] = psi0[2:] - 2.0 * psi0[1:-1] + psi0[:-2]
         prev = psi0 - dt * start + 0.5 * (c2 * lap - kc2dt2 * psi0)
     # Every coefficient is real, so real data step in float64, to the same digits.
+    lo, hi, scale_lap = 0, grid.count, True
     if not (psi0.imag.any() or prev.imag.any()):
         psi0, prev = psi0.real, prev.real
+        cells = np.flatnonzero(inv_w != 1.0)  # the barrier; none in vacuum
+        lo, hi = (cells[0], cells[-1] + 1) if cells.size else (0, 0)
+        scale_lap = c2 != 1.0
+    inv_w = inv_w[lo:hi]
 
     # Fresh buffers, never the caller's arrays; lap's edge cells stay 0.
     buffers = prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0)
@@ -250,13 +256,17 @@ def evolve_wave(
         yield curr
         for last, target in itertools.pairwise(schedule):
             for n in range(last + 1, target + 1):
-                # (2 curr + c2 lap(curr)) / w - prev, in place and in that order.
+                # (2 curr + c2 lap(curr)) / w - prev, in place and in that order. A
+                # float64 x * 1.0 is x, so a real field skips c2 at unit Courant and 1/w
+                # off lo:hi, where inv_w is 1: five passes at unit Courant, not seven. A
+                # complex one keeps both, as numpy's x * (1+0j) can flip a zero's sign.
                 np.multiply(2.0, curr, out=nxt)
                 np.subtract(curr[2:], nxt[1:-1], out=lap[1:-1])
                 np.add(lap[1:-1], curr[:-2], out=lap[1:-1])
-                np.multiply(c2, lap, out=lap)
+                if scale_lap:
+                    np.multiply(c2, lap, out=lap)
                 np.add(nxt, lap, out=nxt)
-                np.multiply(nxt, inv_w, out=nxt)
+                np.multiply(nxt[lo:hi], inv_w, out=nxt[lo:hi])
                 np.subtract(nxt, prev, out=nxt)
                 prev, curr, nxt = curr, nxt, prev
                 # The stencil leaves the outermost cells untouched; the cells next

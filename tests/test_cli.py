@@ -61,6 +61,14 @@ PULSE_CASES = [
     (["--mode", "schrodinger", "--pulse-center", "1e150"], "pulse_center=1e+150"),
     (["--mode", "schrodinger", "--x-min", "1e300"], "x_min=1e+300"),
 ]
+# Wave pulses that already reach the cells next to the grid edges: wider than
+# the grid (2 width^2 overflows at 1e154), or centred on x_min. Listed apart,
+# after NYQUIST_CASES, so the parametrised ids before them keep their numbers.
+EDGE_PULSE_CASES = [
+    (["--pulse-width", "1e154"], "pulse_width=1e+154"),
+    (["--pulse-width", "3e153"], "pulse_width=3e+153"),
+    (["--pulse-center", "-12.8"], "pulse_center=-12.8"),
+]
 
 # Carriers above pi/dx = 62.8 at the default dx = 0.05, in both modes.
 NYQUIST_CASES = [
@@ -166,6 +174,7 @@ class TestExitCodes:
         *[(PULSE_BASE + argv, named) for argv, named in PULSE_CASES],
         # A carrier at or above the Nyquist wavenumber pi/dx would be aliased.
         *NYQUIST_CASES,
+        *[(PULSE_BASE + argv, named) for argv, named in EDGE_PULSE_CASES],
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -180,6 +189,7 @@ class TestExitCodes:
         ["propagate", "--mode", "schrodinger", "--barrier-kc", "1e300", "--dt", "1e10"],
         *[PULSE_BASE + argv for argv, _ in PULSE_CASES],
         *[argv for argv, _ in NYQUIST_CASES],
+        *[PULSE_BASE + argv for argv, _ in EDGE_PULSE_CASES],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):

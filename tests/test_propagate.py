@@ -19,6 +19,7 @@ from evlab.propagate import (
     evolve_schrodinger,
     evolve_wave,
     _front,
+    _measure,
     _peak,
 )
 
@@ -217,10 +218,26 @@ def reference_leapfrog(psi0, prev, profile, courant, steps):
     return fields
 
 
-def barrier_data(courant, imag_part):
+def slab(x, lo, hi, kc=3.0):
+    return np.where((x >= lo) & (x <= hi), kc, 0.0)
+
+
+# Cutoff profiles on barrier_data's grid, x in [-25.6, 25.55]. A real field
+# applies 1/w only to the cells from the first to the last where inv_w != 1.
+PROFILES = {
+    "barrier": lambda x: slab(x, 0.0, 1.5),
+    "vacuum": np.zeros_like,
+    "cell_0": lambda x: slab(x, -30.0, -24.0),
+    "cell_n_minus_1": lambda x: slab(x, 24.0, 30.0),
+    "two_barriers": lambda x: slab(x, 0.0, 1.5) + slab(x, 4.0, 5.0, 2.0),
+    "underflowing_kc": lambda x: slab(x, 0.0, 1.5, 1e-200),  # inv_w rounds to 1
+}
+
+
+def barrier_data(courant, imag_part, kc=PROFILES["barrier"]):
     grid = Grid1D(-25.6, 0.05, 1024)
     x = grid.points()
-    profile = MediumProfile(grid, np.where((x >= 0.0) & (x <= 1.5), 3.0, 0.0))
+    profile = MediumProfile(grid, kc(x))
     d = courant * grid.dx
     f, f_prev = smooth_bump(x, -10.0, 4.0, 2.0), smooth_bump(x + d, -10.0, 4.0, 2.0)
     g, g_prev = smooth_bump(x, -8.0, 3.0, 1.3), smooth_bump(x + d, -8.0, 3.0, 1.3)
@@ -228,10 +245,11 @@ def barrier_data(courant, imag_part):
 
 
 class TestInPlaceLeapfrog:
+    @pytest.mark.parametrize("kc", PROFILES.values(), ids=PROFILES)
     @pytest.mark.parametrize("courant", [1.0, 0.8])
     @pytest.mark.parametrize("imag_part", [0.0, 1j])
-    def test_every_field_matches_out_of_place_update_bitwise(self, courant, imag_part):
-        grid, profile, psi0, prev = barrier_data(courant, imag_part)
+    def test_every_field_matches_out_of_place_update_bitwise(self, courant, imag_part, kc):
+        grid, profile, psi0, prev = barrier_data(courant, imag_part, kc)
         record = evolve_wave(WavePacket(grid, psi0), profile, courant, 250,
                              initial_prev=prev, record_every=1)
         expected = reference_leapfrog(psi0, prev, profile, courant, 250)
@@ -398,6 +416,26 @@ RUNS = {
 }
 
 
+# Amplitudes of 1e-160 whose squares are one subnormal, 1e-320, at cells 2 and 4.
+SUBNORMAL_TIE = np.array([0.0, 0.5e-160, 1e-160, 0.7e-160, 1.000001e-160, 0.3e-160, 0.0])
+
+
+def two_pass_peak(grid, dens):
+    """_peak as two passes, np.any(dens > 0) then np.argmax(dens): the
+    reference the one-pass _peak reproduces bit for bit."""
+    if not np.any(dens > 0):
+        raise ValueError("zero packet has no peak")
+    i = int(np.argmax(dens))
+    x = grid.x_min + grid.dx * i
+    if i == 0 or i == grid.count - 1:
+        return float(x)
+    y0, y1, y2 = dens[i - 1], dens[i], dens[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom == 0.0:
+        return float(x)
+    return float(x + 0.5 * (y0 - y2) / denom * grid.dx)
+
+
 class TestRecorder:
     @pytest.mark.parametrize("solver", sorted(RUNS))
     @pytest.mark.parametrize("every", [3, 7])
@@ -424,6 +462,40 @@ class TestRecorder:
                 expected = math.nan
             np.testing.assert_array_equal(front, expected)
             assert peak == _peak(wp.grid, wp.abs2())
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(7),
+        np.array([0.0, 1e-4, 3e-4, 2e-4, 0.0, 0.0, 0.0]),  # below the threshold
+        np.array([0.0, 0.5, 1.0, np.nan, 0.8, 0.2, 0.0]),
+        np.array([0.0, 0.0, np.nan, 0.0, -0.0, 0.0, 0.0]),  # NaN, nothing positive
+        SUBNORMAL_TIE,
+        np.array([0.0, 0.2, 0.9j, 1.0 + 0.5j, 0.1, 0.0, 0.0]),
+    ], ids=["zero", "below_threshold", "nan", "nan_only", "subnormal_tie", "complex"])
+    def test_measure_matches_front_and_peak_bitwise(self, values):
+        grid, epsilon = Grid1D(-0.3, 0.1, 7), 1e-3
+        amp = np.abs(values)
+        try:
+            front = _front(grid, amp, epsilon)
+        except ValueError:
+            front = math.nan
+        try:
+            peak = two_pass_peak(grid, amp**2)
+        except ValueError:
+            for measure in (lambda: _peak(grid, amp**2),
+                            lambda: _measure(grid, values, epsilon, False, False)):
+                with pytest.raises(ValueError, match="^zero packet has no peak$"):
+                    measure()
+            return
+        _, measured_front, measured_peak, _ = _measure(grid, values, epsilon, False, False)
+        assert np.float64(measured_front).tobytes() == np.float64(front).tobytes()
+        for got in (measured_peak, _peak(grid, amp**2)):
+            assert np.float64(got).tobytes() == np.float64(peak).tobytes()
+
+    def test_first_of_subnormal_maxima_is_the_peak(self):
+        grid, amp = Grid1D(-0.3, 0.1, 7), SUBNORMAL_TIE
+        dens = amp**2
+        assert dens[2] == dens[4] and amp[2] < amp[4]
+        assert _peak(grid, dens) == pytest.approx(grid.x_min + 2 * grid.dx, abs=0.5 * grid.dx)
 
     def test_norm_drift_names_first_recorded_step_over_tolerance(self):
         record = schrodinger_run(steps=40, record_every=4)
