@@ -215,6 +215,8 @@ def cmd_ftir(args, out: OutputWriter):
         })
         out.add_result("group_delay", ftir.gap_group_delay(spec, args.omega, units))
     if args.experiment_report:
+        if not args.kappa_d >= 0:
+            raise ValueError(f"opacity must be non-negative, got kappa_d={args.kappa_d}")
         nu0 = 1.0 / (EXPERIMENT_PERIOD_PS * 1e-12)
         omega0 = 2.0 * math.pi * nu0
         si = SI_PHOTON_UNITS
@@ -265,6 +267,9 @@ def cmd_propagate(args, out: OutputWriter):
         raise ValueError("pulse carrier must be below the grid's Nyquist wavenumber pi/dx, "
                          f"got pulse_k0={args.pulse_k0}, dx={grid.dx}")
     x = grid.points()
+    if not (x[1:] > x[:-1]).all():  # a dx below the doubles' spacing near x_min
+        raise ValueError("grid points must be strictly increasing, got "
+                         f"dx={grid.dx}, x_min={grid.x_min}, grid_n={grid.count}")
     snapshot_dir = out._target("snapshots") if args.snapshots else None  # refused before the run
     if args.snapshot_stride < 1:
         raise ValueError(f"stride must be at least 1, got {args.snapshot_stride}")

@@ -69,33 +69,34 @@ class PropagationRecord:
 
 def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
     """Rightmost x where amp >= epsilon, linearly interpolated."""
-    above = np.nonzero(amp >= epsilon)[0]
-    if len(above) == 0:
+    above = amp >= epsilon  # NaN cells fail it
+    i = grid.count - 1 - int(above[::-1].argmax())  # the last True, if any
+    if not above[i]:
         raise ValueError("no sample reaches the threshold")
-    i = above[-1]
     x = grid.x_min + grid.dx * i  # bitwise grid.points()[i]
     if i == grid.count - 1:
-        return float(x)
-    # Interpolate the downward crossing of the threshold to the right of i.
-    a0, a1 = amp[i], amp[i + 1]
+        return x
+    # Interpolate the threshold's downward crossing right of i, on Python floats.
+    a0, a1 = amp.item(i), amp.item(i + 1)
     frac = (a0 - epsilon) / (a0 - a1) if a0 > a1 else 0.0
-    return float(x + frac * grid.dx)
+    return x + frac * grid.dx
 
 
 def _peak(grid: Grid1D, dens: np.ndarray) -> float:
     """Position of the global maximum of dens with quadratic refinement."""
     i = int(dens.argmax())  # the first NaN, else the first maximum
+    y1 = dens.item(i)
     # np.any(dens > 0) in one pass: dens[i] > 0 decides it unless dens[i] is NaN.
-    if not (dens[i] > 0 or math.isnan(dens[i]) and np.any(dens > 0)):
+    if not (y1 > 0 or math.isnan(y1) and np.any(dens > 0)):
         raise ValueError("zero packet has no peak")
     x = grid.x_min + grid.dx * i
     if i == 0 or i == grid.count - 1:
-        return float(x)
-    y0, y1, y2 = dens[i - 1], dens[i], dens[i + 1]
+        return x
+    y0, y2 = dens.item(i - 1), dens.item(i + 1)
     denom = y0 - 2.0 * y1 + y2
     if denom == 0.0:
-        return float(x)
-    return float(x + 0.5 * (y0 - y2) / denom * grid.dx)
+        return x
+    return x + 0.5 * (y0 - y2) / denom * grid.dx
 
 
 def _measure(grid: Grid1D, values: np.ndarray, epsilon: float, keep: bool, norm: bool):
@@ -132,7 +133,7 @@ def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields,
     schedule = [*range(0, steps, record_every), steps]
     stream = fields(schedule)
     psi0 = next(stream)
-    amp0 = np.abs(psi0).max()
+    amp0 = float(np.abs(psi0).max())
     if not 0 < amp0 < math.inf:
         raise ValueError(f"initial field must be finite and non-zero, got max |psi| = {amp0}")
     epsilon = 1e-10 * amp0
@@ -230,7 +231,7 @@ def evolve_wave(
     inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)  # x * inv_w is complex x / w up to zeros' signs
     c2 = courant**2
     psi0 = np.asarray(initial.values, dtype=complex)
-    edge_limit = 1e-12 * np.abs(psi0).max()
+    edge_limit = 1e-12 * float(np.abs(psi0).max())
 
     if initial_velocity is None:
         prev = start
@@ -248,34 +249,38 @@ def evolve_wave(
         scale_lap = c2 != 1.0
     inv_w = inv_w[lo:hi]
 
-    # Fresh buffers, never the caller's arrays; lap's edge cells stay 0.
-    buffers = prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0)
+    # Fresh buffers, never the caller's arrays, with their stencil views built once
+    # per run; the three fields rotate with their views, and lap's edge cells stay 0.
+    *rings, (lap, _, lap_mid, _, _) = [(b, b[2:], b[1:-1], b[:-2], b[lo:hi]) for b in (
+        prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0))]
 
     def fields(schedule):
-        prev, curr, nxt, lap = buffers
-        yield curr
+        prev, curr, nxt = rings
+        yield curr[0]
         for last, target in itertools.pairwise(schedule):
             for n in range(last + 1, target + 1):
+                cur, cur_right, _, cur_left, _ = curr
+                new, _, new_mid, _, new_w = nxt
                 # (2 curr + c2 lap(curr)) / w - prev, in place and in that order. A
                 # float64 x * 1.0 is x, so a real field skips c2 at unit Courant and 1/w
                 # off lo:hi, where inv_w is 1: five passes at unit Courant, not seven. A
                 # complex one keeps both, as numpy's x * (1+0j) can flip a zero's sign.
-                np.multiply(2.0, curr, out=nxt)
-                np.subtract(curr[2:], nxt[1:-1], out=lap[1:-1])
-                np.add(lap[1:-1], curr[:-2], out=lap[1:-1])
+                np.multiply(2.0, cur, out=new)
+                np.subtract(cur_right, new_mid, out=lap_mid)
+                np.add(lap_mid, cur_left, out=lap_mid)
                 if scale_lap:
                     np.multiply(c2, lap, out=lap)
-                np.add(nxt, lap, out=nxt)
-                np.multiply(nxt[lo:hi], inv_w, out=nxt[lo:hi])
-                np.subtract(nxt, prev, out=nxt)
+                np.add(new, lap, out=new)
+                np.multiply(new_w, inv_w, out=new_w)
+                np.subtract(new, prev[0], out=new)
                 prev, curr, nxt = curr, nxt, prev
                 # The stencil leaves the outermost cells untouched; the cells next
                 # to them are the first to feel an arriving front.
-                if abs(curr[1]) > edge_limit or abs(curr[-2]) > edge_limit:
+                if abs(new.item(1)) > edge_limit or abs(new.item(-2)) > edge_limit:
                     raise BoundaryContactError(
                         f"support reached the grid boundary at step {n}; enlarge the grid"
                     )
-            yield curr
+            yield curr[0]
 
     return _recorded(grid, dt, steps, record_every, fields, keep_every)
 

@@ -69,6 +69,16 @@ EDGE_PULSE_CASES = [
     (["--pulse-width", "3e153"], "pulse_width=3e+153"),
     (["--pulse-center", "-12.8"], "pulse_center=-12.8"),
 ]
+# Spacings so far below the doubles' spacing near x_min = -12.8 that every grid
+# point rounds to x_min: dx, x_min and grid_n are named before any pulse or
+# solver runs, in both modes.
+COLLAPSED_GRID_CASES = [
+    (["--dx", "1e-150"], "dx=1e-150, x_min=-12.8, grid_n=512"),
+    (["--dx", "1e-300"], "dx=1e-300, x_min=-12.8, grid_n=512"),
+    (["--dx", "5e-324"], "dx=5e-324, x_min=-12.8, grid_n=512"),
+    (["--mode", "schrodinger", "--dx", "1e-300"], "dx=1e-300, x_min=-12.8, grid_n=512"),
+    (["--mode", "schrodinger", "--dx", "5e-324"], "dx=5e-324, x_min=-12.8, grid_n=512"),
+]
 
 # Carriers above pi/dx = 62.8 at the default dx = 0.05, in both modes.
 NYQUIST_CASES = [
@@ -175,6 +185,10 @@ class TestExitCodes:
         # A carrier at or above the Nyquist wavenumber pi/dx would be aliased.
         *NYQUIST_CASES,
         *[(PULSE_BASE + argv, named) for argv, named in EDGE_PULSE_CASES],
+        *[(PULSE_BASE + argv, named) for argv, named in COLLAPSED_GRID_CASES],
+        # A negative or NaN opacity names the option, not the gap width it sizes.
+        (["ftir", "--experiment-report", "--kappa-d", "-1"], "kappa_d=-1.0"),
+        (["ftir", "--experiment-report", "--kappa-d", "nan"], "kappa_d=nan"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -190,6 +204,7 @@ class TestExitCodes:
         *[PULSE_BASE + argv for argv, _ in PULSE_CASES],
         *[argv for argv, _ in NYQUIST_CASES],
         *[PULSE_BASE + argv for argv, _ in EDGE_PULSE_CASES],
+        *[PULSE_BASE + argv for argv, _ in COLLAPSED_GRID_CASES],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):

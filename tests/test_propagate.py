@@ -152,6 +152,26 @@ class TestWaveSolver:
         with pytest.raises(BoundaryContactError):
             make_run(grid_n=512, steps=5000)
 
+    @pytest.mark.parametrize("courant", [1.0, 0.8])
+    @pytest.mark.parametrize("imag_part", [0.0, 1j])
+    def test_boundary_contact_names_first_step_over_edge_limit(self, courant, imag_part):
+        # f runs right, through the barrier; i g runs left. The real run at unit
+        # Courant first exceeds the limit at cell N-2, the others at cell 1.
+        grid = Grid1D(-6.4, 0.05, 256)
+        x, d = grid.points(), courant * grid.dx
+        profile = MediumProfile(grid, slab(x, 0.0, 0.5))
+        psi0 = smooth_bump(x, -2.0, 2.0, 2.0) + imag_part * smooth_bump(x, -3.0, 2.0, 1.3)
+        prev = smooth_bump(x + d, -2.0, 2.0, 2.0) + imag_part * smooth_bump(x - d, -3.0, 2.0, 1.3)
+        limit = 1e-12 * np.abs(psi0).max()
+        fields = reference_leapfrog(psi0, prev, profile, courant, 400)
+        first = next(n for n, f in enumerate(fields) if max(abs(f[1]), abs(f[-2])) > limit)
+        assert first > 1
+        run = lambda steps: evolve_wave(WavePacket(grid, psi0), profile, courant, steps,
+                                        initial_prev=prev, record_every=steps, keep_every=0)
+        run(first - 1)
+        with pytest.raises(BoundaryContactError, match=f"at step {first};"):
+            run(400)
+
     def test_argument_validation(self):
         grid = Grid1D(-5.0, 0.1, 128)
         profile = MediumProfile(grid, np.zeros(128))
@@ -420,6 +440,21 @@ RUNS = {
 SUBNORMAL_TIE = np.array([0.0, 0.5e-160, 1e-160, 0.7e-160, 1.000001e-160, 0.3e-160, 0.0])
 
 
+def nonzero_front(grid, amp, epsilon):
+    """_front through np.nonzero and numpy scalars: the reference the one
+    reversed scan on Python floats reproduces bit for bit."""
+    above = np.nonzero(amp >= epsilon)[0]
+    if len(above) == 0:
+        raise ValueError("no sample reaches the threshold")
+    i = above[-1]
+    x = grid.x_min + grid.dx * i
+    if i == grid.count - 1:
+        return float(x)
+    a0, a1 = amp[i], amp[i + 1]
+    frac = (a0 - epsilon) / (a0 - a1) if a0 > a1 else 0.0
+    return float(x + frac * grid.dx)
+
+
 def two_pass_peak(grid, dens):
     """_peak as two passes, np.any(dens > 0) then np.argmax(dens): the
     reference the one-pass _peak reproduces bit for bit."""
@@ -470,14 +505,24 @@ class TestRecorder:
         np.array([0.0, 0.0, np.nan, 0.0, -0.0, 0.0, 0.0]),  # NaN, nothing positive
         SUBNORMAL_TIE,
         np.array([0.0, 0.2, 0.9j, 1.0 + 0.5j, 0.1, 0.0, 0.0]),
-    ], ids=["zero", "below_threshold", "nan", "nan_only", "subnormal_tie", "complex"])
+        np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e-4, 0.5]),  # the front is the last cell
+        # A flat top: a0 == a1 cannot leave frac 0 here, as a0 >= epsilon > a1.
+        np.array([0.0, 0.4, 0.4, 0.4, 0.4, 0.0, 0.0]),
+        np.array([0.0, 0.2, 0.6, 0.4, np.nan, 0.0, 0.0]),  # a1 is NaN: frac is 0
+        np.array([0.0, 0.2, 0.6, 1e-3, 0.0, 0.0, 0.0]),  # a0 is epsilon exactly
+    ], ids=["zero", "below_threshold", "nan", "nan_only", "subnormal_tie", "complex",
+            "front_at_last_cell", "plateau", "nan_after_front", "at_epsilon"])
     def test_measure_matches_front_and_peak_bitwise(self, values):
         grid, epsilon = Grid1D(-0.3, 0.1, 7), 1e-3
         amp = np.abs(values)
         try:
-            front = _front(grid, amp, epsilon)
+            front = nonzero_front(grid, amp, epsilon)
         except ValueError:
+            with pytest.raises(ValueError, match="^no sample reaches the threshold$"):
+                _front(grid, amp, epsilon)
             front = math.nan
+        else:
+            assert np.float64(_front(grid, amp, epsilon)).tobytes() == np.float64(front).tobytes()
         try:
             peak = two_pass_peak(grid, amp**2)
         except ValueError:
