@@ -159,34 +159,12 @@ def _recorded(grid: Grid1D, dt: float, steps: int, record_every: int, fields,
     )
 
 
-def discrete_energy(
-    prev: np.ndarray, curr: np.ndarray, dt: float, profile: MediumProfile,
-    units: UnitSystem = NATURAL_UNITS,
-) -> float:
-    """Staggered discrete energy of the leapfrog scheme; conserved to
-    roundoff for the lossless cutoff wave equation."""
-    dx, c = profile.grid.dx, units.c
-    vel = (curr - prev) / dt
-    grad_c = np.diff(curr) / dx
-    grad_p = np.diff(prev) / dx
-    kc2 = profile.cutoff_kc**2
-    # The (dt^2/2) kc^2 weight on the velocity term is the mass-matrix
-    # correction of the time-averaged cutoff coupling; with it the sum is
-    # conserved to roundoff.
-    weight = 1.0 + 0.5 * (c * dt) ** 2 * kc2
-    e = 0.5 * np.sum(weight * np.abs(vel) ** 2) * dx
-    e += 0.5 * c**2 * np.sum((grad_c * np.conj(grad_p)).real) * dx
-    e += 0.5 * c**2 * np.sum(kc2 * (curr * np.conj(prev)).real) * dx
-    return float(e)
-
-
 def evolve_wave(
     initial: WavePacket,
     profile: MediumProfile,
     courant: float,
     steps: int,
-    initial_velocity: np.ndarray | None = None,
-    initial_prev: np.ndarray | None = None,
+    initial_prev: np.ndarray,
     units: UnitSystem = NATURAL_UNITS,
     record_every: int = 1,
     keep_every: int = 1,
@@ -194,16 +172,17 @@ def evolve_wave(
     """Leapfrog evolution of the cutoff wave equation.
 
     Initial data must be compactly supported strictly inside the grid.
-    Either initial_velocity (dpsi/dt at t=0, Taylor first step) or
-    initial_prev (the field one step in the past, exact two-level start;
-    this is what makes unit-Courant vacuum translation exact) must be given,
-    on the profile's grid, which must also be the initial packet's.
-    Support touching the boundary raises rather than wrapping around.
+    initial_prev is the field one step in the past (the exact two-level start
+    that makes unit-Courant vacuum translation exact), on the profile's grid,
+    which must also be the initial packet's. Every coefficient is real, and a
+    nonzero imaginary part in either field raises. Support touching the
+    boundary raises rather than wrapping around.
 
     The cutoff coupling is time-averaged over the n+1 and n-1 levels, which
     keeps the scheme stable at courant = 1 even inside the barrier; the
     update stencil then spreads support exactly one cell per step, so at
     unit Courant the numerical light cone coincides with the physical one.
+    A step is five float64 passes at unit Courant and six below it.
 
     Every record_every-th step (and the last) is recorded with its front and
     peak; only every keep_every-th record keeps its field in `snapshots`, and
@@ -213,40 +192,26 @@ def evolve_wave(
         raise ValueError("courant must lie in (0, 1]")
     if steps < 1:
         raise ValueError("steps must be positive")
-    if (initial_velocity is None) == (initial_prev is None):
-        raise ValueError("give exactly one of initial_velocity / initial_prev")
     grid = profile.grid
     if initial.grid != grid:
         raise ValueError(f"initial packet is on {initial.grid}, the profile on {grid}")
-    name, start = (("initial_prev", initial_prev) if initial_velocity is None
-                   else ("initial_velocity", initial_velocity))
-    start = np.asarray(start, dtype=complex)
-    if start.shape != (grid.count,):
-        raise ValueError(f"{name} must have shape ({grid.count},), got {start.shape}")
+    psi0, prev = initial.values, np.asarray(initial_prev, dtype=complex)
+    if prev.shape != (grid.count,):
+        raise ValueError(f"initial_prev must have shape ({grid.count},), got {prev.shape}")
+    if psi0.imag.any() or prev.imag.any():
+        raise ValueError("initial and initial_prev must be real, got a nonzero imaginary part")
+    psi0, prev = psi0.real, prev.real
     dx, c = grid.dx, units.c
     dt = courant * dx / c
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
         kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
     _require_all(kc2dt2 < math.inf, profile.cutoff_kc, "(c dt k_c)^2 overflows at k_c={}")
-    inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)  # x * inv_w is complex x / w up to zeros' signs
+    inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)
     c2 = courant**2
-    psi0 = np.asarray(initial.values, dtype=complex)
     edge_limit = 1e-12 * float(np.abs(psi0).max())
-
-    if initial_velocity is None:
-        prev = start
-    else:
-        # Second-order Taylor start run backwards to get the t = -dt level.
-        lap = np.zeros_like(psi0)
-        lap[1:-1] = psi0[2:] - 2.0 * psi0[1:-1] + psi0[:-2]
-        prev = psi0 - dt * start + 0.5 * (c2 * lap - kc2dt2 * psi0)
-    # Every coefficient is real, so real data step in float64, to the same digits.
-    lo, hi, scale_lap = 0, grid.count, True
-    if not (psi0.imag.any() or prev.imag.any()):
-        psi0, prev = psi0.real, prev.real
-        cells = np.flatnonzero(inv_w != 1.0)  # the barrier; none in vacuum
-        lo, hi = (cells[0], cells[-1] + 1) if cells.size else (0, 0)
-        scale_lap = c2 != 1.0
+    cells = np.flatnonzero(inv_w != 1.0)  # the barrier; none in vacuum
+    lo, hi = (cells[0], cells[-1] + 1) if cells.size else (0, 0)
+    scale_lap = c2 != 1.0
     inv_w = inv_w[lo:hi]
 
     # Fresh buffers, never the caller's arrays, with their stencil views built once
@@ -262,9 +227,8 @@ def evolve_wave(
                 cur, cur_right, _, cur_left, _ = curr
                 new, _, new_mid, _, new_w = nxt
                 # (2 curr + c2 lap(curr)) / w - prev, in place and in that order. A
-                # float64 x * 1.0 is x, so a real field skips c2 at unit Courant and 1/w
-                # off lo:hi, where inv_w is 1: five passes at unit Courant, not seven. A
-                # complex one keeps both, as numpy's x * (1+0j) can flip a zero's sign.
+                # float64 x * 1.0 is x, so the step skips c2 at unit Courant and 1/w
+                # off lo:hi, where inv_w is 1: five passes at unit Courant, six below.
                 np.multiply(2.0, cur, out=new)
                 np.subtract(cur_right, new_mid, out=lap_mid)
                 np.add(lap_mid, cur_left, out=lap_mid)

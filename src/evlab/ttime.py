@@ -38,9 +38,13 @@ class TunnelingTimeReport:
 
 
 def wave_period(E, units: UnitSystem = NATURAL_UNITS):
-    """Period T = 1/nu = 2 pi hbar / E of the wave with energy E."""
+    """Period T = 1/nu = 2 pi hbar / E of the wave with energy E; an E whose
+    period is not a double raises, naming it."""
     _require_all(E > 0, E, "energy must be positive, got E={}")
-    return 2.0 * math.pi * units.hbar / E
+    with np.errstate(over="ignore"):  # named below, not warned about
+        period = 2.0 * math.pi * units.hbar / E
+    _require_all(period < math.inf, E, "the period 2 pi hbar / E overflows at E={}")
+    return period
 
 
 def _check_tunneling_range(E, U0: float):

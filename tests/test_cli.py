@@ -189,6 +189,9 @@ class TestExitCodes:
         # A negative or NaN opacity names the option, not the gap width it sizes.
         (["ftir", "--experiment-report", "--kappa-d", "-1"], "kappa_d=-1.0"),
         (["ftir", "--experiment-report", "--kappa-d", "nan"], "kappa_d=nan"),
+        # 2 pi hbar / E leaves the double range: E is named, with no RuntimeWarning.
+        (["ttime", "--u0", "2", "--e", "1e-310"], "overflows at E=2e-310"),
+        (["ttime", "--u0", "2", "--e", "5e-324"], "overflows at E=1e-323"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -205,6 +208,8 @@ class TestExitCodes:
         *[argv for argv, _ in NYQUIST_CASES],
         *[PULSE_BASE + argv for argv, _ in EDGE_PULSE_CASES],
         *[PULSE_BASE + argv for argv, _ in COLLAPSED_GRID_CASES],
+        ["ttime", "--u0", "2", "--e", "1e-310"],
+        ["ttime", "--u0", "2", "--e", "5e-324"],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):

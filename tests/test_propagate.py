@@ -14,7 +14,6 @@ from evlab.propagate import (
     BoundaryContactError,
     MediumProfile,
     NormDriftError,
-    discrete_energy,
     dump_snapshots_csv,
     evolve_schrodinger,
     evolve_wave,
@@ -152,20 +151,19 @@ class TestWaveSolver:
         with pytest.raises(BoundaryContactError):
             make_run(grid_n=512, steps=5000)
 
-    @pytest.mark.parametrize("courant", [1.0, 0.8])
-    @pytest.mark.parametrize("imag_part", [0.0, 1j])
-    def test_boundary_contact_names_first_step_over_edge_limit(self, courant, imag_part):
-        # f runs right, through the barrier; i g runs left. The real run at unit
-        # Courant first exceeds the limit at cell N-2, the others at cell 1.
+    @pytest.mark.parametrize("courant, cell", [(1.0, -2), (0.8, 1)])
+    def test_boundary_contact_names_first_step_over_edge_limit(self, courant, cell):
+        # The pulse runs right, through the barrier. At unit Courant it first
+        # exceeds the limit at cell N-2; at 0.8 a left-running part reaches cell 1 first.
         grid = Grid1D(-6.4, 0.05, 256)
         x, d = grid.points(), courant * grid.dx
         profile = MediumProfile(grid, slab(x, 0.0, 0.5))
-        psi0 = smooth_bump(x, -2.0, 2.0, 2.0) + imag_part * smooth_bump(x, -3.0, 2.0, 1.3)
-        prev = smooth_bump(x + d, -2.0, 2.0, 2.0) + imag_part * smooth_bump(x - d, -3.0, 2.0, 1.3)
+        psi0, prev = smooth_bump(x, -2.0, 2.0, 2.0), smooth_bump(x + d, -2.0, 2.0, 2.0)
         limit = 1e-12 * np.abs(psi0).max()
         fields = reference_leapfrog(psi0, prev, profile, courant, 400)
         first = next(n for n, f in enumerate(fields) if max(abs(f[1]), abs(f[-2])) > limit)
         assert first > 1
+        assert abs(fields[first][cell]) > limit >= abs(fields[first][-1 - cell])
         run = lambda steps: evolve_wave(WavePacket(grid, psi0), profile, courant, steps,
                                         initial_prev=prev, record_every=steps, keep_every=0)
         run(first - 1)
@@ -177,26 +175,13 @@ class TestWaveSolver:
         profile = MediumProfile(grid, np.zeros(128))
         psi0 = smooth_bump(grid.points(), 0.0, 1.0)
         wp = WavePacket(grid, psi0)
-        with pytest.raises(ValueError):
-            evolve_wave(wp, profile, 1.2, 10, initial_velocity=np.zeros(128))
-        with pytest.raises(ValueError):
-            evolve_wave(wp, profile, 1.0, 10)  # no initial condition choice
-        with pytest.raises(ValueError):
-            evolve_wave(wp, profile, 1.0, 10, initial_velocity=np.zeros(128),
-                        initial_prev=psi0)
-
-    def test_taylor_velocity_start_supported(self):
-        grid = Grid1D(-25.6, 0.05, 1024)
-        x = grid.points()
-        profile = MediumProfile(grid, np.zeros(1024))
-        psi0 = smooth_bump(x, -5.0, 3.0)
-        record = evolve_wave(WavePacket(grid, psi0), profile, 0.5, 100,
-                             initial_velocity=np.zeros(1024), record_every=100)
-        # Standing start splits into two half-amplitude movers.
-        final = record.snapshots[-1].values.real
-        t = record.times[-1]
-        expected = 0.5 * (smooth_bump(x - t, -5.0, 3.0) + smooth_bump(x + t, -5.0, 3.0))
-        assert np.max(np.abs(final - expected)) < 5e-3
+        for courant in (1.2, 0.0, math.nan):
+            with pytest.raises(ValueError, match="courant"):
+                evolve_wave(wp, profile, courant, 10, initial_prev=psi0)
+        with pytest.raises(ValueError, match="steps"):
+            evolve_wave(wp, profile, 1.0, 0, initial_prev=psi0)
+        with pytest.raises(TypeError, match="initial_prev"):
+            evolve_wave(wp, profile, 1.0, 10)  # the t = -dt level is required
 
     def test_overflowing_cutoff_named_without_warning(self):
         # k_c = 1e200 on a grid with c dt = 0.05: (c dt k_c)^2 is not a double.
@@ -238,11 +223,29 @@ def reference_leapfrog(psi0, prev, profile, courant, steps):
     return fields
 
 
+def discrete_energy(prev, curr, dt, profile):
+    """Staggered discrete energy of the leapfrog scheme, conserved to
+    roundoff for the lossless cutoff wave equation (natural units)."""
+    dx = profile.grid.dx
+    vel = (curr - prev) / dt
+    grad_c = np.diff(curr) / dx
+    grad_p = np.diff(prev) / dx
+    kc2 = profile.cutoff_kc**2
+    # The (dt^2/2) kc^2 weight on the velocity term is the mass-matrix
+    # correction of the time-averaged cutoff coupling; with it the sum is
+    # conserved to roundoff.
+    weight = 1.0 + 0.5 * dt**2 * kc2
+    e = 0.5 * np.sum(weight * np.abs(vel) ** 2) * dx
+    e += 0.5 * np.sum((grad_c * np.conj(grad_p)).real) * dx
+    e += 0.5 * np.sum(kc2 * (curr * np.conj(prev)).real) * dx
+    return float(e)
+
+
 def slab(x, lo, hi, kc=3.0):
     return np.where((x >= lo) & (x <= hi), kc, 0.0)
 
 
-# Cutoff profiles on barrier_data's grid, x in [-25.6, 25.55]. A real field
+# Cutoff profiles on barrier_data's grid, x in [-25.6, 25.55]. A step
 # applies 1/w only to the cells from the first to the last where inv_w != 1.
 PROFILES = {
     "barrier": lambda x: slab(x, 0.0, 1.5),
@@ -254,22 +257,19 @@ PROFILES = {
 }
 
 
-def barrier_data(courant, imag_part, kc=PROFILES["barrier"]):
+def barrier_data(courant, kc=PROFILES["barrier"]):
     grid = Grid1D(-25.6, 0.05, 1024)
     x = grid.points()
     profile = MediumProfile(grid, kc(x))
     d = courant * grid.dx
-    f, f_prev = smooth_bump(x, -10.0, 4.0, 2.0), smooth_bump(x + d, -10.0, 4.0, 2.0)
-    g, g_prev = smooth_bump(x, -8.0, 3.0, 1.3), smooth_bump(x + d, -8.0, 3.0, 1.3)
-    return grid, profile, f + imag_part * g, f_prev + imag_part * g_prev
+    return grid, profile, smooth_bump(x, -10.0, 4.0, 2.0), smooth_bump(x + d, -10.0, 4.0, 2.0)
 
 
 class TestInPlaceLeapfrog:
     @pytest.mark.parametrize("kc", PROFILES.values(), ids=PROFILES)
     @pytest.mark.parametrize("courant", [1.0, 0.8])
-    @pytest.mark.parametrize("imag_part", [0.0, 1j])
-    def test_every_field_matches_out_of_place_update_bitwise(self, courant, imag_part, kc):
-        grid, profile, psi0, prev = barrier_data(courant, imag_part, kc)
+    def test_every_field_matches_out_of_place_update_bitwise(self, courant, kc):
+        grid, profile, psi0, prev = barrier_data(courant, kc)
         record = evolve_wave(WavePacket(grid, psi0), profile, courant, 250,
                              initial_prev=prev, record_every=1)
         expected = reference_leapfrog(psi0, prev, profile, courant, 250)
@@ -277,40 +277,36 @@ class TestInPlaceLeapfrog:
         for wp, ref in zip(record.snapshots, expected):
             assert wp.values.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("start", ["prev", "velocity"])
-    def test_complex_data_step_as_real_and_imaginary_parts(self, start):
-        # Every coefficient is real: f + i g evolves as f and g do, so the
-        # float64 and complex128 steps are pinned to one result.
-        grid, profile, f, f_prev = barrier_data(1.0, 0.0)
-        _, _, fg, fg_prev = barrier_data(1.0, 1j)
-        g, g_prev = fg.imag, fg_prev.imag
-        f_vel, g_vel = (f - f_prev) / grid.dx, (g - g_prev) / grid.dx
+    @pytest.mark.parametrize("name", ["initial", "initial_prev"])
+    @pytest.mark.parametrize("imag", [1.0, -0.0])
+    def test_complex_input_refused_unless_its_imaginary_part_is_zero(self, name, imag):
+        grid, profile, psi0, prev = barrier_data(1.0)
+        g = smooth_bump(grid.points(), -8.0, 3.0, 1.3)  # signed: -0.0 * g has zeros of both signs
+        data = {"initial": psi0, "initial_prev": prev}
+        data[name] = data[name].astype(complex)
+        data[name].imag = imag * g
+        run = lambda f, f_prev: evolve_wave(WavePacket(grid, f), profile, 1.0, 60,
+                                            initial_prev=f_prev, record_every=1)
+        if imag:
+            with pytest.raises(ValueError, match="^initial and initial_prev must be real"):
+                run(data["initial"], data["initial_prev"])
+            return
+        # A complex array whose imaginary part is all zero steps as its float copy.
+        got, expected = run(data["initial"], data["initial_prev"]), run(psi0, prev)
+        for attr in ("times", "front_positions", "peak_positions"):
+            assert getattr(got, attr).tobytes() == getattr(expected, attr).tobytes()
+        for a, b in zip(got.snapshots, expected.snapshots, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
 
-        def run(psi0, prev, velocity):
-            kwargs = {"initial_prev": prev} if start == "prev" else {"initial_velocity": velocity}
-            return evolve_wave(WavePacket(grid, psi0), profile, 1.0, 180,
-                               record_every=1, **kwargs).snapshots
-
-        for both, re, im in zip(run(fg, fg_prev, f_vel + 1j * g_vel), run(f, f_prev, f_vel),
-                                run(g, g_prev, g_vel)):
-            np.testing.assert_array_equal(both.values.real, re.values.real)
-            np.testing.assert_array_equal(both.values.imag, im.values.real)
-            assert not re.values.imag.any() and not im.values.imag.any()
-
-    @pytest.mark.parametrize("imag_part", [0.0, 1j])
-    def test_caller_arrays_are_not_written(self, imag_part):
-        grid, profile, psi0, prev = barrier_data(1.0, imag_part)
+    def test_caller_arrays_are_not_written(self):
+        grid, profile, psi0, prev = barrier_data(1.0)
         prev = np.array(prev, dtype=complex)  # writable, so no conversion copies it
-        velocity = (psi0 - prev) / grid.dx
-        kept_prev, kept_velocity = prev.copy(), velocity.copy()
+        kept_prev = prev.copy()
         evolve_wave(WavePacket(grid, psi0), profile, 1.0, 20, initial_prev=prev)
-        evolve_wave(WavePacket(grid, psi0), profile, 1.0, 20, initial_velocity=velocity)
         assert prev.tobytes() == kept_prev.tobytes()
-        assert velocity.tobytes() == kept_velocity.tobytes()
 
-    @pytest.mark.parametrize("imag_part", [0.0, 1j])
-    def test_snapshots_share_no_memory(self, imag_part):
-        grid, profile, psi0, prev = barrier_data(1.0, imag_part)
+    def test_snapshots_share_no_memory(self):
+        grid, profile, psi0, prev = barrier_data(1.0)
         record = evolve_wave(WavePacket(grid, psi0), profile, 1.0, 12, initial_prev=prev)
         arrays = [wp.values for wp in record.snapshots]
         for i, a in enumerate(arrays):
@@ -618,7 +614,7 @@ class TestRecorder:
         wp = WavePacket(grid, np.zeros(64))
         with pytest.raises(ValueError, match="initial field"):
             evolve_wave(wp, MediumProfile(grid, np.zeros(64)), 1.0, 10,
-                        initial_velocity=np.zeros(64))
+                        initial_prev=np.zeros(64))
         with pytest.raises(ValueError, match="initial field"):
             evolve_schrodinger(wp, np.zeros(64), 1.0, 0.01, 10)
 
@@ -631,13 +627,12 @@ class TestGridChecks:
             evolve_wave(WavePacket(packet_grid, psi0), MediumProfile(profile_grid, np.zeros(400)),
                         1.0, 10, initial_prev=psi0)
 
-    @pytest.mark.parametrize("name", ["initial_prev", "initial_velocity"])
-    def test_start_of_wrong_length_named(self, name):
+    def test_start_of_wrong_length_named(self):
         grid = Grid1D(-10.0, 0.05, 400)
         psi0 = smooth_bump(grid.points(), -5.0, 1.0, 2.0)
-        with pytest.raises(ValueError, match=rf"{name} must have shape \(400,\), got \(399,\)"):
-            evolve_wave(WavePacket(grid, psi0), MediumProfile(grid, np.zeros(400)), 1.0, 10,
-                        **{name: psi0[:-1]})
+        profile = MediumProfile(grid, np.zeros(400))
+        with pytest.raises(ValueError, match=r"initial_prev must have shape \(400,\), got \(399"):
+            evolve_wave(WavePacket(grid, psi0), profile, 1.0, 10, initial_prev=psi0[:-1])
 
 
 class TestSnapshotDump:

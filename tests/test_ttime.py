@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,3 +236,11 @@ class TestReport:
                        lambda e: dwell_time(e, spec), lambda e: report(e, spec)):
                 with pytest.raises(ValueError, match=bad):
                     fn(E)
+
+    def test_overflowing_period_named_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wave_period(1e-300) == 2.0 * math.pi / 1e-300
+            for E, named in ((2e-310, "E=2e-310"), (np.array([1.0, 5e-324, 1e-310]), "E=5e-324")):
+                with pytest.raises(ValueError, match=f"^the period .* overflows at {named}$"):
+                    wave_period(E)
