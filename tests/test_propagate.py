@@ -34,6 +34,11 @@ def smooth_bump(x, center, width, k0=0.0):
     return out
 
 
+# A wave run takes its t = -dt level as float64 or as complex128 with a zero
+# imaginary part; both must step to the same bits.
+PREV_DTYPES = ["float64", "complex128"]
+
+
 def make_run(grid_n=1024, dx=0.05, center=-10.0, width=4.0, k0=2.0, kc_val=0.0,
              barrier=(0.0, 1.5), courant=1.0, steps=200, record_every=4, keep_every=1):
     grid = Grid1D(-grid_n * dx / 2.0, dx, grid_n)
@@ -152,7 +157,8 @@ class TestWaveSolver:
             make_run(grid_n=512, steps=5000)
 
     @pytest.mark.parametrize("courant, cell", [(1.0, -2), (0.8, 1)])
-    def test_boundary_contact_names_first_step_over_edge_limit(self, courant, cell):
+    @pytest.mark.parametrize("prev_dtype", PREV_DTYPES)
+    def test_boundary_contact_names_first_step_over_edge_limit(self, courant, cell, prev_dtype):
         # The pulse runs right, through the barrier. At unit Courant it first
         # exceeds the limit at cell N-2; at 0.8 a left-running part reaches cell 1 first.
         grid = Grid1D(-6.4, 0.05, 256)
@@ -165,7 +171,8 @@ class TestWaveSolver:
         assert first > 1
         assert abs(fields[first][cell]) > limit >= abs(fields[first][-1 - cell])
         run = lambda steps: evolve_wave(WavePacket(grid, psi0), profile, courant, steps,
-                                        initial_prev=prev, record_every=steps, keep_every=0)
+                                        initial_prev=prev.astype(prev_dtype),
+                                        record_every=steps, keep_every=0)
         run(first - 1)
         with pytest.raises(BoundaryContactError, match=f"at step {first};"):
             run(400)
@@ -268,10 +275,11 @@ def barrier_data(courant, kc=PROFILES["barrier"]):
 class TestInPlaceLeapfrog:
     @pytest.mark.parametrize("kc", PROFILES.values(), ids=PROFILES)
     @pytest.mark.parametrize("courant", [1.0, 0.8])
-    def test_every_field_matches_out_of_place_update_bitwise(self, courant, kc):
+    @pytest.mark.parametrize("prev_dtype", PREV_DTYPES)
+    def test_every_field_matches_out_of_place_update_bitwise(self, courant, kc, prev_dtype):
         grid, profile, psi0, prev = barrier_data(courant, kc)
         record = evolve_wave(WavePacket(grid, psi0), profile, courant, 250,
-                             initial_prev=prev, record_every=1)
+                             initial_prev=prev.astype(prev_dtype), record_every=1)
         expected = reference_leapfrog(psi0, prev, profile, courant, 250)
         assert len(record.snapshots) == len(expected)
         for wp, ref in zip(record.snapshots, expected):
@@ -298,16 +306,19 @@ class TestInPlaceLeapfrog:
         for a, b in zip(got.snapshots, expected.snapshots, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
 
-    def test_caller_arrays_are_not_written(self):
+    @pytest.mark.parametrize("prev_dtype", PREV_DTYPES)
+    def test_caller_arrays_are_not_written(self, prev_dtype):
         grid, profile, psi0, prev = barrier_data(1.0)
-        prev = np.array(prev, dtype=complex)  # writable, so no conversion copies it
+        prev = np.array(prev, dtype=prev_dtype)  # writable, so the run must copy it
         kept_prev = prev.copy()
         evolve_wave(WavePacket(grid, psi0), profile, 1.0, 20, initial_prev=prev)
         assert prev.tobytes() == kept_prev.tobytes()
 
-    def test_snapshots_share_no_memory(self):
+    @pytest.mark.parametrize("prev_dtype", PREV_DTYPES)
+    def test_snapshots_share_no_memory(self, prev_dtype):
         grid, profile, psi0, prev = barrier_data(1.0)
-        record = evolve_wave(WavePacket(grid, psi0), profile, 1.0, 12, initial_prev=prev)
+        record = evolve_wave(WavePacket(grid, psi0), profile, 1.0, 12,
+                             initial_prev=prev.astype(prev_dtype))
         arrays = [wp.values for wp in record.snapshots]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
