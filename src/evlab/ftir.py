@@ -45,14 +45,9 @@ class GapSpec:
     def __post_init__(self):
         if not self.refr_index_n > 1:
             raise ValueError(f"refractive index must exceed 1, got n={self.refr_index_n}")
-        if not 0 < self.incidence_theta < math.pi / 2:
-            raise ValueError("incidence angle must lie in (0, pi/2)")
+        _evanescent_sine(self.refr_index_n, self.incidence_theta)
         if not self.gap_d >= 0:
             raise ValueError(f"gap width must be non-negative, got d={self.gap_d}")
-        if self.refr_index_n * math.sin(self.incidence_theta) <= 1.0:
-            raise NotEvanescentError(
-                "n sin(theta) <= 1: the gap is propagating, not evanescent"
-            )
 
 
 @dataclass(frozen=True)
@@ -74,12 +69,8 @@ class GapTransfer:
         return abs(self.t) ** 2
 
 
-def gap_decay(
-    n: float, theta: float, omega: float, units: UnitSystem = NATURAL_UNITS
-) -> dict:
-    """Evanescent decay data for the gap: alpha, kappa_x, k_parallel."""
-    if not np.all(omega > 0):
-        raise ValueError("omega must be positive")
+def _evanescent_sine(n: float, theta: float) -> float:
+    """n sin(theta), once theta lies in (0, pi/2) and n sin(theta) exceeds 1."""
     if not 0 < theta < math.pi / 2:
         raise ValueError(f"incidence angle must lie in (0, pi/2), got theta={theta}")
     s = n * math.sin(theta)
@@ -88,6 +79,16 @@ def gap_decay(
             f"n sin(theta) = {s} is not above 1 (n={n}, theta={theta}): "
             "the gap is not evanescent"
         )
+    return s
+
+
+def gap_decay(
+    n: float, theta: float, omega: float, units: UnitSystem = NATURAL_UNITS
+) -> dict:
+    """Evanescent decay data for the gap: alpha, kappa_x, k_parallel."""
+    if not np.all(omega > 0):
+        raise ValueError("omega must be positive")
+    s = _evanescent_sine(n, theta)
     alpha = math.sqrt(s * s - 1.0)
     return {
         "alpha": alpha,
@@ -207,56 +208,8 @@ def interior_field(
     return WavePacket(signal.grid, np.fft.fft(S * weights))
 
 
-_SQRT_EPS, _GOLDEN = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _bounded_min(f, lo: float, hi: float, xatol: float):
-    """(x, f(x)) at the minimum of f on [lo, hi] by Brent's bounded method (R. P.
-    Brent, 1973), step for step as scipy's minimize_scalar(method="bounded") takes
-    it, so both agree bitwise: a parabola through the three best points where it
-    is acceptable, a golden-section step otherwise, at most 500 evaluations."""
-    a, b = lo, hi
-    fulc = nfc = xf = a + _GOLDEN * (b - a)
-    ffulc = fnfc = fx = f(xf)
-    num, rat, e = 1, 0.0, 0.0
-    while num < 500:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = -p if q > 0.0 else p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm < xf else tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0 else xf + step
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf, fx
+_NEWTON_STEPS = 60  # lags evaluated at most; bisection alone narrows lag0 +- 2 to 3.5e-18
+_EPS = float(np.finfo(float).eps)
 
 
 def _unit_magnitude(env: WavePacket, name: str) -> np.ndarray:
@@ -275,10 +228,10 @@ def reshaping_distance(input_env: WavePacket, output_env: WavePacket) -> float:
     """Shape change between two envelopes: L2 distance of the unit-normalized
     magnitudes, minimized over relative time shift.
 
-    Zero means the output is a pure delay plus scaling of the input; any
-    positive value is genuine reshaping. Brent's bounded method (`_bounded_min`,
-    xatol = 1e-12, at most 500 evaluations) finds the shift in lag0 +- 2 samples
-    of the cross-correlation peak lag0; each trial shift is one FFT phase ramp.
+    Zero means the output is a pure delay plus scaling of the input, at any
+    lag, fractional included; any positive value is genuine reshaping. The
+    shift is found in lag0 +- 2 samples of the cross-correlation peak lag0 by
+    Newton's method on the exact FFT derivatives of the distance.
     """
     if input_env.grid.dx != output_env.grid.dx:
         raise ValueError("envelopes must share the sample spacing")
@@ -294,9 +247,28 @@ def reshaping_distance(input_env: WavePacket, output_env: WavePacket) -> float:
     lag0 = int(np.argmax(corr))
     if lag0 > n // 2:
         lag0 -= n
-
-    def dist(lag: float) -> float:
-        shifted = np.abs(np.fft.ifft(B * np.exp(ramp * lag)))
-        return float(np.linalg.norm(a - shifted))
-
-    return float(min(_bounded_min(dist, lag0 - 2.0, lag0 + 2.0, 1e-12)[1], dist(lag0)))
+    # s(lag) = ifft(B exp(ramp lag)) is b shifted by lag, and one transform gives s, s'
+    # and s''. The shift is unitary, so ||a - |s||| is least where G = sum a |s| is
+    # greatest. With u = conj(s)/|s|: G' = sum a Re(u s'), G'' = sum a (Im(u s')^2/|s|
+    # + Re(u s'')), both over |s| > 0. The sign of G' shrinks the bracket; a Newton step
+    # is taken where G'' < 0 and it stays inside, and the bracket is bisected otherwise.
+    # The search stops once the Newton step -G'/G'' is below the lag's resolution: the
+    # float spacing of the lag, or eps / sqrt(-G''), below which the distance cannot
+    # change by eps. A flat G (G' = G'' = 0) stops it too.
+    derivs = np.stack([np.ones(n), ramp, ramp * ramp])
+    lo, hi, lag, best = lag0 - 2.0, lag0 + 2.0, float(lag0), math.inf
+    for _ in range(_NEWTON_STEPS):
+        s, s1, s2 = np.fft.ifft(B * np.exp(ramp * lag) * derivs)
+        m = np.abs(s)
+        best = min(best, float(np.linalg.norm(a - m)))
+        on = m > 0
+        u = s[on].conj() / m[on]
+        us1, us2 = u * s1[on], u * s2[on]
+        g1 = float(a[on] @ us1.real)
+        g2 = float(a[on] @ (us1.imag**2 / m[on] + us2.real))
+        if g2 <= 0 and abs(g1) <= max(-g2 * np.spacing(abs(lag)), _EPS * math.sqrt(-g2)):
+            break
+        lo, hi = (lag, hi) if g1 > 0 else (lo, lag)
+        step = -g1 / g2 if g2 < 0 else math.inf
+        lag = lag + step if lo < lag + step < hi else 0.5 * (lo + hi)
+    return best

@@ -122,6 +122,8 @@ class TestExitCodes:
         (["propagate", "--record-every", "0"], "record_every"),
         (["propagate", "--steps", "10", "--snapshots", "--snapshot-stride", "0"], "stride"),
         (["ftir", "--theta-deg", "100", "--report-alpha"], "theta="),
+        (["ftir", "--gap-d", "1", "--theta-deg", "95"], "theta="),
+        (["ftir", "--gap-d", "1", "--theta-deg", "30"], "theta="),
         (["spectrum", "--a", "nan"], "positive, got a=nan"),
         (["spectrum", "--tail-akprime", "nan"], "k_prime=nan"),
         (["spectrum", "--lorentz", "nan", "0.1"], "omega0=nan"),
@@ -690,6 +692,10 @@ grid = Grid1D(-20.0, 0.05, 800)
 pulse = lambda t0: np.exp(-0.5 * (grid.points() - t0) ** 2)
 assert ftir.reshaping_distance(WavePacket(grid, pulse(0.0)),
                                WavePacket(grid, 0.3 * pulse(3.0))) < 1e-12
+ramp = np.exp(-2j * np.pi * np.fft.fftfreq(800) * 246.9)
+delayed = np.fft.ifft(np.fft.fft(pulse(0.0)) * ramp)
+assert ftir.reshaping_distance(WavePacket(grid, pulse(0.0)),
+                               WavePacket(grid, 0.3 * delayed)) < 1e-13
 loaded = [name for name in sys.modules if name.split(".")[0] in REFUSED]
 assert not loaded, loaded
 print("ok")

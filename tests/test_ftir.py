@@ -4,12 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from evlab.numcore import Grid1D, WavePacket
 from evlab.ftir import (
     GapSpec,
-    _bounded_min,
     NotEvanescentError,
     gap_decay,
     gap_group_delay,
@@ -19,6 +17,8 @@ from evlab.ftir import (
     reshaping_distance,
     transmit_pulse,
 )
+
+from test_acceptance import paired_wave_runs
 
 N45 = GapSpec(1.5, math.pi / 4.0, 1.0)
 
@@ -201,6 +201,62 @@ class TestPulseTransmission:
             interior_field(pulse, 2.0, N45)
 
 
+def phase_ramp_pair(delay, n=2048, sigma=40.0, scale=0.4):
+    """A Gaussian of sigma samples and its copy delayed by an FFT phase ramp and scaled."""
+    grid = Grid1D(0.0, 1.0, n)
+    pulse = np.exp(-0.5 * ((grid.points() - n / 2) / sigma) ** 2)
+    ramp = np.exp(-2j * math.pi * np.fft.fftfreq(n) * delay)
+    delayed = scale * np.fft.ifft(np.fft.fft(pulse) * ramp)
+    return WavePacket(grid, pulse), WavePacket(grid, delayed)
+
+
+# reshaping_distance of each pair as the bounded Brent search (xatol = 1e-12) read it
+# before Newton's method replaced it.
+RESHAPED = {
+    "gap_kd0.3": 0.002099506813030021,
+    "gap_kd0.7": 0.002309369542267368,
+    "gap_kd2.0": 0.0026178051559305584,
+    "vacuum": 2.5501459385911693e-14,
+    "barrier": 0.112474536828318,
+    "two_peak": 0.2023137451831719,
+}
+
+
+def reshaped_pair(name):
+    """(input, output) envelopes: a pulse through a gap of opacity kappa d, the first and
+    last snapshots of criterion 10's vacuum and barrier wave runs, or two two-peak
+    envelopes whose peaks differ in height, width and spacing."""
+    if name.startswith("gap_kd"):
+        pulse = gaussian_pulse(20.0, 0.25)
+        spec = GapSpec(1.5, math.pi / 4.0, float(name[6:]) / (glass_alpha() * 20.0))
+        return pulse, transmit_pulse(pulse, spec)
+    if name in ("vacuum", "barrier"):
+        _, _, barrier, vacuum = paired_wave_runs()
+        run = vacuum if name == "vacuum" else barrier
+        return run.snapshots[0], run.snapshots[-1]
+    grid = Grid1D(0.0, 1.0, 2048)
+    t = grid.points()
+    peak = lambda center, width: np.exp(-0.5 * ((t - center) / width) ** 2)
+    return (WavePacket(grid, peak(700.0, 30.0) + 0.6 * peak(900.0, 45.0)),
+            WavePacket(grid, 0.8 * peak(1010.3, 35.0) + 0.5 * peak(1190.0, 40.0)))
+
+
+def scan_minimum(input_env, output_env, points=4001):
+    """Least distance of the unit-normalized magnitudes over an even scan of lag0 +- 2
+    samples around the cross-correlation peak lag0: no minimiser involved."""
+    a = np.abs(input_env.values) / np.linalg.norm(np.abs(input_env.values))
+    b = np.abs(output_env.values) / np.linalg.norm(np.abs(output_env.values))
+    n = len(a)
+    B = np.fft.fft(b)
+    lag0 = int(np.argmax(np.fft.ifft(np.fft.fft(a) * np.conj(B)).real))
+    lag0 -= n if lag0 > n // 2 else 0
+    ramp = -2j * math.pi * np.fft.fftfreq(n)
+    lags = lag0 + np.linspace(-2.0, 2.0, points)
+    return min(np.linalg.norm(a - np.abs(np.fft.ifft(B * np.exp(np.outer(chunk, ramp)))),
+                              axis=1).min()
+               for chunk in np.array_split(lags, 16))
+
+
 class TestReshapingDistance:
     def test_identical_envelopes(self):
         pulse = gaussian_pulse(20.0, 0.5)
@@ -211,15 +267,21 @@ class TestReshapingDistance:
         rolled = WavePacket(pulse.grid, 0.37 * np.roll(pulse.values, 250))
         assert reshaping_distance(pulse, rolled) < 1e-12
 
-    def test_fractional_delay_is_nearly_pure(self):
-        pulse = gaussian_pulse(20.0, 0.5)
-        n = pulse.grid.count
-        freqs = np.fft.fftfreq(n)
-        delayed = np.fft.ifft(
-            np.fft.fft(pulse.values) * np.exp(-2j * math.pi * freqs * 33.4)
-        )
-        dist = reshaping_distance(pulse, WavePacket(pulse.grid, delayed))
-        assert dist < 1e-6
+    # Delays up to and beyond n/4 = 512 samples; the largest reading over these cases
+    # was 7.3e-16.
+    @pytest.mark.parametrize("delay", [0.0, 60.0, 146.0, -94.2, 246.9, 602.46, 512.0,
+                                       -511.7, 511.7])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_fractional_delay_is_not_reshaping(self, delay, swap):
+        pair = phase_ramp_pair(delay)
+        assert reshaping_distance(*(pair[::-1] if swap else pair)) < 2e-15
+
+    @pytest.mark.parametrize("name", sorted(RESHAPED))
+    def test_reshaped_pair_meets_dense_scan(self, name):
+        pair = reshaped_pair(name)
+        dist = reshaping_distance(*pair)
+        assert dist <= scan_minimum(*pair) + 1e-15
+        assert dist == pytest.approx(RESHAPED[name], rel=1e-12, abs=0.0)
 
     def test_widened_envelope_is_reshaped(self):
         a = gaussian_pulse(20.0, 0.5)
@@ -261,68 +323,3 @@ class TestReshapingDistance:
         pulse = gaussian_pulse(20.0, 0.5, n=512)
         with pytest.raises(ValueError, match="zero-energy envelope: output_env"):
             reshaping_distance(pulse, WavePacket(pulse.grid, np.zeros(512)))
-
-
-def scipy_bounded(f, lo, hi, xatol):
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun)
-
-
-class TestBoundedMin:
-    """_bounded_min is a port of scipy's minimize_scalar(method="bounded"):
-    the same x and f(x), bit for bit."""
-
-    OBJECTIVES = {
-        "smooth": lambda c, s: lambda x: s * (x - c) ** 2 + 1.0,
-        "v_shaped": lambda c, s: lambda x: s * abs(x - c),
-        "multi_minimum": lambda c, s: lambda x: math.cos(3.0 * x + c) + 0.1 * s * x,
-        "constant": lambda c, s: lambda x: c,
-    }
-
-    @pytest.mark.parametrize("xatol", [1e-12, 1e-5])
-    @pytest.mark.parametrize("kind", sorted(OBJECTIVES))
-    def test_seeded_objectives_match_scipy(self, kind, xatol):
-        rng = np.random.default_rng(sorted(self.OBJECTIVES).index(kind))
-        for _ in range(50):
-            lo = rng.uniform(-10.0, 10.0)
-            hi = lo + rng.uniform(0.01, 20.0)
-            f = self.OBJECTIVES[kind](rng.uniform(lo, hi), rng.uniform(0.1, 10.0))
-            assert _bounded_min(f, lo, hi, xatol) == scipy_bounded(f, lo, hi, xatol)
-
-    @pytest.mark.parametrize("xatol", [1e-12, 1e-5])
-    def test_minimum_at_a_bound_matches_scipy(self, xatol):
-        for c in (-3.0, 7.0):
-            f = lambda x: (x - c) ** 2
-            x, fx = _bounded_min(f, -1.0, 2.0, xatol)
-            assert (x, fx) == scipy_bounded(f, -1.0, 2.0, xatol)
-            assert abs(x - min(max(c, -1.0), 2.0)) < 1e-4
-
-    def test_stops_after_500_evaluations(self):
-        # With xatol = 0 the bracket around x = 0 never closes.
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x * x
-
-        assert _bounded_min(f, -1.0, 1.0, 0.0) == scipy_bounded(lambda x: x * x, -1.0, 1.0, 0.0)
-        assert len(calls) == 500
-
-    def test_reshaping_objective_matches_scipy(self):
-        # The reshaping objective as once written: a fresh FFT of b per trial shift.
-        pulse = gaussian_pulse(20.0, 0.25, n=2048)
-        out = transmit_pulse(pulse, GapSpec(1.5, math.pi / 4.0, 2.0 / (glass_alpha() * 20.0)))
-        a = np.abs(pulse.values) / np.linalg.norm(np.abs(pulse.values))
-        b = np.abs(out.values) / np.linalg.norm(np.abs(out.values))
-        freqs = np.fft.fftfreq(len(b))
-
-        def dist(lag):
-            shifted = np.fft.ifft(np.fft.fft(b) * np.exp(-2j * math.pi * freqs * lag))
-            return float(np.linalg.norm(a - np.abs(shifted)))
-
-        corr = np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(b))).real
-        lag0 = int(np.argmax(corr))
-        lag0 -= len(b) if lag0 > len(b) // 2 else 0
-        x, fx = scipy_bounded(dist, lag0 - 2.0, lag0 + 2.0, 1e-12)
-        assert _bounded_min(dist, lag0 - 2.0, lag0 + 2.0, 1e-12) == (x, fx)
-        assert reshaping_distance(pulse, out) == min(fx, dist(lag0))
