@@ -320,7 +320,10 @@ def cmd_tolman(args, out: OutputWriter):
     # Checked before any arithmetic: NaN and inf would otherwise surface as a
     # JSON error or a classification, naming no input.
     _require_finite(out.inputs, "v_signal", "kappa", "threshold", "dx_over_dt")
-    tolman.Boost(args.v_frame).gamma(units)  # every output is in this frame
+    try:
+        tolman.Boost(args.v_frame).gamma(units)  # every output is in this frame
+    except ValueError as exc:  # gamma names |V|, not the option
+        raise ValueError(f"{exc}, got v_frame={args.v_frame}") from None
     if args.dx_over_dt is not None:
         a = tolman.Event(0.0, 0.0)
         b = tolman.Event(1.0, args.dx_over_dt * 1.0)

@@ -316,14 +316,40 @@ def dump_snapshots_csv(record: PropagationRecord, directory) -> list:
     """Write every kept snapshot as CSV: x, re, im and WavePacket.abs2(),
     %.17g, named by its record index (snapshot_00100.csv is record 100,
     whatever the record kept). Which fields are kept is the recorder's
-    choice, through keep_every."""
+    choice, through keep_every.
+
+    The bytes are those of one %.17g template per file, but no file formats
+    a double it already has as text: the grid column is formatted once per
+    grid, an imaginary column that is +0.0 throughout (every wave run) is
+    the literal 0, and re, im and abs2 are formatted once per distinct bit
+    pattern in a file, a pattern the previous file held taking that file's
+    text (a unit-Courant run translates most of its field from one snapshot
+    to the next). Keying on bits keeps -0.0 apart from +0.0."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    templates = {}
+    # The previous file's distinct bit patterns, sorted, and their text; +0.0 to start.
+    known_bits, known_text = np.zeros(1, np.int64), np.array(["0"], dtype=object)
     paths = []
     for idx, wp in zip(record.snapshot_indices.tolist(), record.snapshots):
-        rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
+        cols = [wp.values.real.view(np.int64), wp.values.imag.view(np.int64),
+                wp.abs2().view(np.int64)]
+        real = not cols[1].any()
+        if real:
+            del cols[1]
+        if (wp.grid, real) not in templates:
+            row = ",%s,0,%s\n" if real else ",%s,%s,%s\n"
+            xs = wp.grid.points().tolist()
+            templates[wp.grid, real] = "".join(["%.17g" % x + row for x in xs])
+        bits, inverse = np.unique(np.column_stack(cols).ravel(), return_inverse=True)
+        at = np.minimum(np.searchsorted(known_bits, bits), known_bits.size - 1)
+        new = known_bits[at] != bits
+        text = known_text[at]
+        fresh = bits[new].view(np.float64).tolist()
+        text[new] = ("\n".join(["%.17g"] * len(fresh)) % tuple(fresh)).split("\n")
         path = directory / f"snapshot_{idx:05d}.csv"
-        text = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-        path.write_text("x,re,im,abs2\n" + text, newline="")
+        cells = tuple(text[inverse].tolist())
+        path.write_text("x,re,im,abs2\n" + templates[wp.grid, real] % cells, newline="")
         paths.append(path)
+        known_bits, known_text = bits, text
     return paths

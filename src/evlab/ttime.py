@@ -11,6 +11,7 @@ definition broadcasts over E (a scalar or an array of energies).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,18 @@ def _check_tunneling_range(E, U0: float):
 
 def esposito_time(E, U0: float, units: UnitSystem = NATURAL_UNITS):
     """tau = hbar / sqrt(E (U0 - E)), defined only for 0 < E < U0; taken on E and U0
-    scaled exactly by a power of two, so the scale of U0 cannot over- or underflow E (U0 - E)."""
+    scaled exactly by a power of two, so the scale of U0 cannot over- or underflow E (U0 - E).
+    Where that scaled product is below the normal doubles it has lost bits (all of them if
+    E scaled to 0), and tau is hbar / (sqrt(E) sqrt(U0 - E)) on the unscaled values."""
     _check_tunneling_range(E, U0)
     scale = math.frexp(U0)[1]
-    E, U0 = np.ldexp(E, -scale), math.ldexp(U0, -scale)
-    return np.ldexp(units.hbar / np.sqrt(E * (U0 - E)), -scale)
+    e, u = np.ldexp(E, -scale), math.ldexp(U0, -scale)
+    product = e * (u - e)
+    low = product < sys.float_info.min
+    if not low.any():
+        return np.ldexp(units.hbar / np.sqrt(product), -scale)
+    tau = np.asarray(np.ldexp(units.hbar / np.sqrt(np.where(low, 1.0, product)), -scale))
+    return np.divide(units.hbar, np.sqrt(E) * np.sqrt(U0 - E), out=tau, where=low)[()]
 
 
 def esposito_factor(E, U0: float):

@@ -194,6 +194,9 @@ class TestExitCodes:
         # 2 pi hbar / E leaves the double range: E is named, with no RuntimeWarning.
         (["ttime", "--u0", "2", "--e", "1e-310"], "overflows at E=2e-310"),
         (["ttime", "--u0", "2", "--e", "5e-324"], "overflows at E=1e-323"),
+        # A frame at or above c: |V| and the option, with its sign.
+        (["tolman", "--v-frame", "-1e150", "--dx-over-dt", "2"],
+         "|V| = 1e+150 must be below c = 1.0, got v_frame=-1e+150"),
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1

@@ -14,6 +14,7 @@ from evlab.propagate import (
     BoundaryContactError,
     MediumProfile,
     NormDriftError,
+    PropagationRecord,
     dump_snapshots_csv,
     evolve_schrodinger,
     evolve_wave,
@@ -228,6 +229,14 @@ def reference_leapfrog(psi0, prev, profile, courant, steps):
         prev, curr = curr, (2.0 * curr + c2 * lap(curr)) / mass_weight - prev
         fields.append(curr)
     return fields
+
+
+def reference_snapshot_text(wp):
+    """The text of one snapshot file as one %.17g template over x, re, im and
+    abs2 writes it, the reference dump_snapshots_csv reproduces byte for byte."""
+    rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
+    text = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    return "x,re,im,abs2\n" + text
 
 
 def discrete_energy(prev, curr, dt, profile):
@@ -646,7 +655,76 @@ class TestGridChecks:
             evolve_wave(WavePacket(grid, psi0), profile, 1.0, 10, initial_prev=psi0[:-1])
 
 
+def hand_built_record():
+    """Fields holding +0.0 and -0.0 in re and im, subnormals and 5e-324, with
+    values repeated within a file, across adjacent files and across
+    non-adjacent ones; the last file repeats the one before it entirely, and
+    one field is a strided view."""
+    grid = Grid1D(-1.0, 0.25, 8)
+    tiny, sub = 5e-324, 2.5e-310
+    f0 = np.array([0.0, -0.0, tiny, sub, 1.5, 1.5, -sub, 0.1]) \
+        + 1j * np.array([-0.0, 0.0, 0.0, -tiny, 1.5, 0.1, -0.0, 2.0])
+    f1 = np.array([1.5, 0.1, 7.0, -0.0, 3e-320, 7.0, 0.0, -tiny]) \
+        + 1j * np.array([0.0, -0.0, sub, 7.0, -0.0, 0.0, 1e-300, 0.0])
+    f2 = np.array([sub, -sub, 0.0, 2.0, tiny, 1e-300, -0.0, 0.1])  # -sub, 2.0, tiny: f0's only
+    strided = np.repeat(f2 - 0.5j * f0, 2)[::2]
+    fields = [f0, f1, f2, strided, strided]
+    return PropagationRecord(
+        times=np.arange(5.0), snapshots=[WavePacket(grid, f) for f in fields],
+        front_positions=np.zeros(5), peak_positions=np.zeros(5),
+        snapshot_indices=np.array([0, 2, 3, 7, 8]),
+    )
+
+
+def zero_imaginary_record():
+    # A real field whose imaginary column is +0.0 but for one -0.0, kept
+    # between two fields that are real throughout.
+    grid = Grid1D(0.0, 0.5, 6)
+    re = np.array([0.25, -1.0, 0.0, 3.0, -0.0, 1e-200])
+    odd = re.astype(complex)
+    odd.imag[3] = -0.0
+    fields = [re, odd, re]
+    return PropagationRecord(
+        times=np.arange(3.0), snapshots=[WavePacket(grid, f) for f in fields],
+        front_positions=np.zeros(3), peak_positions=np.zeros(3),
+        snapshot_indices=np.arange(3),
+    )
+
+
+SNAPSHOT_RECORDS = {
+    "unit_courant_barrier": lambda: make_run(kc_val=3.0, steps=240, record_every=4,
+                                             keep_every=5)[1],
+    "courant_0.8_stride_3": lambda: make_run(kc_val=3.0, courant=0.8, steps=120,
+                                             record_every=2, keep_every=3)[1],
+    "schrodinger_barrier": lambda: schrodinger_run(steps=60, record_every=5, keep_every=2),
+    "hand_built": hand_built_record,
+    "zero_imaginary_but_one": zero_imaginary_record,
+}
+
+
 class TestSnapshotDump:
+    @pytest.mark.parametrize("name", SNAPSHOT_RECORDS)
+    def test_every_file_is_the_one_template_text(self, tmp_path, name):
+        record = SNAPSHOT_RECORDS[name]()
+        paths = dump_snapshots_csv(record, tmp_path)
+        assert len(paths) == len(record.snapshots) > 1
+        for path, wp in zip(paths, record.snapshots):
+            assert path.read_bytes() == reference_snapshot_text(wp).encode()
+
+    def test_unit_courant_files_share_most_doubles(self):
+        # The case the writer reuses text in: most of the files' distinct
+        # doubles were in the previous file.
+        record = SNAPSHOT_RECORDS["unit_courant_barrier"]()
+        bits = [np.unique(np.concatenate([wp.values.real, wp.abs2()]).view(np.int64))
+                for wp in record.snapshots]
+        shared = sum(np.isin(cur, prev).sum() for prev, cur in zip(bits, bits[1:]))
+        assert shared > 0.5 * sum(b.size for b in bits[1:])
+
+    def test_single_negative_zero_imaginary_entry_prints(self, tmp_path):
+        paths = dump_snapshots_csv(zero_imaginary_record(), tmp_path)
+        ims = [[row["im"] for row in csv.DictReader(p.read_text().splitlines())] for p in paths]
+        assert ims == [["0"] * 6, ["0", "0", "0", "-0", "0", "0"], ["0"] * 6]
+
     def test_values_parse_back_exactly(self, tmp_path):
         grid, record = make_run(kc_val=3.0, steps=30, record_every=10)
         paths = dump_snapshots_csv(record, tmp_path)

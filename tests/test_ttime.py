@@ -106,6 +106,20 @@ class TestClosedForms:
             tau = esposito_time(0.5 * U0, U0)
         assert tau == pytest.approx(2.0 / U0, rel=1e-15, abs=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_esposito_time_at_subnormal_energy(self):
+        # E (U0 - E) is below the normal doubles, and E / 4 is 0: tau = 2^536 sqrt(2),
+        # not inf after a RuntimeWarning. Every other entry keeps its bits.
+        assert esposito_time(5e-324, 2.0) == pytest.approx(math.ldexp(math.sqrt(2.0), 536),
+                                                         rel=1e-15, abs=0.0)
+        E = np.array([5e-324, 1e-310, 1e-300, 1.0, 1.999])
+        tau = esposito_time(E, 2.0)
+        np.testing.assert_allclose(tau[:2], 1.0 / np.sqrt(E[:2] * 2.0), rtol=1e-15)
+        assert [esposito_time(float(e), 2.0) for e in E] == tau.tolist()
+        assert tau[3] == 1.0 and tau[2:].tolist() == [
+            math.ldexp(1.0 / math.sqrt(math.ldexp(e, -2) * (0.5 - math.ldexp(e, -2))), -2)
+            for e in E[2:].tolist()]
+
     @pytest.mark.parametrize("fn", [esposito_time, esposito_factor,
                                     esposito_time_factor_form])
     def test_pathological_regime_raises(self, fn):
