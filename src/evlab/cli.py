@@ -208,6 +208,11 @@ def cmd_spectrum(args, out: OutputWriter):
 def cmd_ftir(args, out: OutputWriter):
     units = UNITS[args.units]
     theta = math.radians(args.theta_deg)
+    if args.report_alpha or args.gap_d is not None or args.experiment_report:
+        try:
+            ftir._evanescent_sine(args.n, theta)
+        except ValueError as exc:  # names theta in radians, not the option
+            raise ValueError(f"{exc}, got theta_deg={args.theta_deg}") from None
     if args.report_alpha:
         decay = ftir.gap_decay(args.n, theta, args.omega, units)
         out.add_result("alpha", decay["alpha"])

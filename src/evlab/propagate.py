@@ -69,9 +69,8 @@ class PropagationRecord:
 
 def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
     """Rightmost x where amp >= epsilon, linearly interpolated."""
-    above = amp >= epsilon  # NaN cells fail it
-    i = grid.count - 1 - int(above[::-1].argmax())  # the last True, if any
-    if not above[i]:
+    i = (amp >= epsilon).tobytes().rfind(1)  # the last True (memrchr); NaN cells fail it
+    if i < 0:
         raise ValueError("no sample reaches the threshold")
     x = grid.x_min + grid.dx * i  # bitwise grid.points()[i]
     if i == grid.count - 1:
@@ -82,17 +81,25 @@ def _front(grid: Grid1D, amp: np.ndarray, epsilon: float) -> float:
     return x + frac * grid.dx
 
 
-def _peak(grid: Grid1D, dens: np.ndarray) -> float:
-    """Position of the global maximum of dens with quadratic refinement."""
-    i = int(dens.argmax())  # the first NaN, else the first maximum
-    y1 = dens.item(i)
-    # np.any(dens > 0) in one pass: dens[i] > 0 decides it unless dens[i] is NaN.
-    if not (y1 > 0 or math.isnan(y1) and np.any(dens > 0)):
+def _peak(grid: Grid1D, amp: np.ndarray) -> float:
+    """Position of the global maximum of the density amp**2, with quadratic
+    refinement, bitwise as if taken on np.square(amp): only three cells are
+    squared, as Python floats, unless the squares can tie."""
+    i = int(amp.argmax())  # the first NaN, else the first maximum m
+    m = amp.item(i)
+    below = math.nextafter(m, 0.0)
+    if below * below == m * m:  # a smaller amp may share m's square: m**2 is not normal
+        i = int((amp * amp).argmax())
+        m = amp.item(i)
+    y1 = m * m
+    # np.any(amp * amp > 0) in one pass: y1 > 0 decides it unless y1 is NaN.
+    if not (y1 > 0 or math.isnan(y1) and np.any(amp * amp > 0)):
         raise ValueError("zero packet has no peak")
     x = grid.x_min + grid.dx * i
     if i == 0 or i == grid.count - 1:
         return x
-    y0, y2 = dens.item(i - 1), dens.item(i + 1)
+    y0, y2 = amp.item(i - 1), amp.item(i + 1)
+    y0, y2 = y0 * y0, y2 * y2
     denom = y0 - 2.0 * y1 + y2
     if denom == 0.0:
         return x
@@ -101,19 +108,19 @@ def _peak(grid: Grid1D, dens: np.ndarray) -> float:
 
 def _measure(grid: Grid1D, values: np.ndarray, epsilon: float, keep: bool, norm: bool):
     # One |psi| of the field as stepped (|x| is bitwise |x + 0j|), whose square
-    # is bitwise WavePacket.abs2(); a complex copy only if kept, and the norm,
+    # is bitwise WavePacket.abs2(): three passes (|psi|, the threshold mask and
+    # argmax) give the front and peak. A complex copy only if kept, and the norm,
     # bitwise sqrt(WavePacket.energy()), only if asked for.
     amp = np.abs(values)
     try:
         fp = _front(grid, amp, epsilon)
     except ValueError:
         fp = math.nan
-    dens = np.square(amp, out=amp)  # bitwise amp**2
     return (
         WavePacket(grid, np.array(values, dtype=complex)) if keep else None,
         fp,
-        _peak(grid, dens),
-        math.sqrt(float(dens.sum() * grid.dx)) if norm else None,
+        _peak(grid, amp),
+        math.sqrt(float(np.square(amp, out=amp).sum() * grid.dx)) if norm else None,
     )
 
 
@@ -182,7 +189,9 @@ def evolve_wave(
     keeps the scheme stable at courant = 1 even inside the barrier; the
     update stencil then spreads support exactly one cell per step, so at
     unit Courant the numerical light cone coincides with the physical one.
-    A step is five float64 passes at unit Courant and six below it.
+    A step is five float64 passes at unit Courant and six below it, and a
+    record three more: |psi|, the threshold mask for the front and argmax
+    |psi| for the peak.
 
     Every record_every-th step (and the last) is recorded with its front and
     peak; only every keep_every-th record keeps its field in `snapshots`, and
@@ -211,7 +220,7 @@ def evolve_wave(
     edge_limit = 1e-12 * float(np.abs(psi0).max())
     cells = np.flatnonzero(inv_w != 1.0)  # the barrier; none in vacuum
     lo, hi = (cells[0], cells[-1] + 1) if cells.size else (0, 0)
-    scale_lap = c2 != 1.0
+    scale_lap, barrier = c2 != 1.0, hi > lo
     inv_w = inv_w[lo:hi]
 
     # Fresh buffers, never the caller's arrays, with their stencil views built once
@@ -228,14 +237,16 @@ def evolve_wave(
                 new, _, new_mid, _, new_w = nxt
                 # (2 curr + c2 lap(curr)) / w - prev, in place and in that order. A
                 # float64 x * 1.0 is x, so the step skips c2 at unit Courant and 1/w
-                # off lo:hi, where inv_w is 1: five passes at unit Courant, six below.
+                # off lo:hi, where inv_w is 1 (all of a vacuum run): five passes at
+                # unit Courant, six below.
                 np.multiply(2.0, cur, out=new)
                 np.subtract(cur_right, new_mid, out=lap_mid)
                 np.add(lap_mid, cur_left, out=lap_mid)
                 if scale_lap:
                     np.multiply(c2, lap, out=lap)
                 np.add(new, lap, out=new)
-                np.multiply(new_w, inv_w, out=new_w)
+                if barrier:
+                    np.multiply(new_w, inv_w, out=new_w)
                 np.subtract(new, prev[0], out=new)
                 prev, curr, nxt = curr, nxt, prev
                 # The stencil leaves the outermost cells untouched; the cells next

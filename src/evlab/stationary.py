@@ -88,10 +88,15 @@ class StationarySolution:
 
 def _wavenumbers(E, U0: float, m: float, units: UnitSystem):
     """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array);
-    raises ValueError if any E lies outside, NaN included."""
+    raises ValueError if any E lies outside, NaN included, or where k or kappa
+    is 0 or inf, naming E, U0 and m."""
     _require_all((E > 0) & (E < U0), E, f"E={{}} is not inside 0 < E < U0={U0}; "
                  "this solver covers only the evanescent (tunneling) regime")
-    return np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        k, kappa = np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
+    _require_all((k > 0) & (k < math.inf) & (kappa > 0) & (kappa < math.inf), E,
+                 f"k and kappa must be positive and finite, got E={{}}, U0={U0}, m={m}")
+    return k, kappa
 
 
 def threshold_solution(

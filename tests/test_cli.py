@@ -90,6 +90,25 @@ NYQUIST_CASES = [
 # Frequencies whose gap wavenumbers leave [2^-500, 2^500] at the default n and theta.
 GAP_OMEGAS = ["1e300", "1e-300", "5e-324"]
 
+# Angles in degrees whose radians leave (0, pi/2) or make the gap propagating.
+THETA_CASES = [
+    (["ftir", "--theta-deg", "1e-300", "--gap-d", "1"], "got theta_deg=1e-300"),
+    (["ftir", "--theta-deg", "1e300", "--gap-d", "1"], "got theta_deg=1e+300"),
+    (["ftir", "--theta-deg", "1e-300", "--report-alpha"], "got theta_deg=1e-300"),
+]
+
+# Barriers whose k and kappa overflow to inf or underflow to 0 (ttime's --e is E / U0).
+WAVENUMBER_CASES = [
+    (["stationary", "--u0", "1e300", "--m", "1e300", "--e", "5e299"],
+     "got E=5e+299, U0=1e+300, m=1e+300"),
+    (["ttime", "--u0", "1e300", "--m", "1e300", "--e", "0.5"],
+     "got E=5e+299, U0=1e+300, m=1e+300"),
+    (["stationary", "--u0", "1e-300", "--m", "1e-300", "--e", "5e-301"],
+     "got E=5e-301, U0=1e-300, m=1e-300"),
+    (["ttime", "--u0", "1e-300", "--m", "1e-300", "--e", "0.5"],
+     "got E=5e-301, U0=1e-300, m=1e-300"),
+]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -207,6 +226,10 @@ class TestExitCodes:
         # A frame at or above c: |V| and the option, with its sign.
         (["tolman", "--v-frame", "-1e150", "--dx-over-dt", "2"],
          "|V| = 1e+150 must be below c = 1.0, got v_frame=-1e+150"),
+        # An angle that is not evanescent once in radians: the option as given.
+        *THETA_CASES,
+        # k or kappa is 0 or inf, though E, U0 and m are doubles: all three are named.
+        *WAVENUMBER_CASES,
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -227,6 +250,7 @@ class TestExitCodes:
         ["ttime", "--u0", "2", "--e", "5e-324"],
         ["ttime", "--u0", "1e-305", "--e", "0.9999999999999999"],
         *[["ftir", "--gap-d", "1", "--omega", omega] for omega in GAP_OMEGAS],
+        *[argv for argv, _ in THETA_CASES + WAVENUMBER_CASES],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):

@@ -73,7 +73,7 @@ class TestMeasurements:
         g = Grid1D(-5.0, 0.1, 101)
         x = g.points()
         vals = np.exp(-((x - 0.33) ** 2))
-        assert _peak(g, vals**2) == pytest.approx(0.33, abs=1e-3)
+        assert _peak(g, vals) == pytest.approx(0.33, abs=1e-3)
 
     def test_peak_speed_recovers_linear_motion(self):
         grid, record = make_run()
@@ -393,7 +393,7 @@ class TestSchrodingerSolver:
         def errors(values, exact):
             amp, ref = np.abs(values), np.abs(exact)
             return (np.abs(values - exact).max(),
-                    abs(_peak(grid, amp**2) - _peak(grid, ref**2)),
+                    abs(_peak(grid, amp) - _peak(grid, ref)),
                     abs(_front(grid, amp, epsilon) - _front(grid, ref, epsilon)))
 
         psi, free, loop = psi0, np.zeros(3), np.zeros(3)
@@ -456,9 +456,13 @@ RUNS = {
 SUBNORMAL_TIE = np.array([0.0, 0.5e-160, 1e-160, 0.7e-160, 1.000001e-160, 0.3e-160, 0.0])
 
 
+def bits(value):
+    return np.float64(value).tobytes()
+
+
 def nonzero_front(grid, amp, epsilon):
-    """_front through np.nonzero and numpy scalars: the reference the one
-    reversed scan on Python floats reproduces bit for bit."""
+    """_front through np.nonzero and numpy scalars: the reference the byte
+    search on Python floats reproduces bit for bit."""
     above = np.nonzero(amp >= epsilon)[0]
     if len(above) == 0:
         raise ValueError("no sample reaches the threshold")
@@ -472,8 +476,9 @@ def nonzero_front(grid, amp, epsilon):
 
 
 def two_pass_peak(grid, dens):
-    """_peak as two passes, np.any(dens > 0) then np.argmax(dens): the
-    reference the one-pass _peak reproduces bit for bit."""
+    """_peak as two passes over the density, np.any(dens > 0) then
+    np.argmax(dens): the reference _peak(grid, amp) reproduces bit for bit
+    on dens = amp**2."""
     if not np.any(dens > 0):
         raise ValueError("zero packet has no peak")
     i = int(np.argmax(dens))
@@ -512,7 +517,7 @@ class TestRecorder:
             except ValueError:
                 expected = math.nan
             np.testing.assert_array_equal(front, expected)
-            assert peak == _peak(wp.grid, wp.abs2())
+            assert peak == two_pass_peak(wp.grid, wp.abs2())
 
     @pytest.mark.parametrize("values", [
         np.zeros(7),
@@ -526,37 +531,66 @@ class TestRecorder:
         np.array([0.0, 0.4, 0.4, 0.4, 0.4, 0.0, 0.0]),
         np.array([0.0, 0.2, 0.6, 0.4, np.nan, 0.0, 0.0]),  # a1 is NaN: frac is 0
         np.array([0.0, 0.2, 0.6, 1e-3, 0.0, 0.0, 0.0]),  # a0 is epsilon exactly
+        # |psi| > 0, but every square underflows to 0: no peak.
+        np.array([0.0, 1e-170, 1.4e-162, -1.2e-162, 3e-165, 0.0, 0.0]),
+        # A NaN beside amplitudes whose squares underflow: no positive density, no peak.
+        np.array([0.0, 1.4e-162, np.nan, 1e-163, 0.0, 0.0, 0.0]),
+        # Squares that overflow tie at inf: the first of them is the peak, not the larger.
+        np.array([0.0, 1e200, 0.0, -3e200, 0.0, 0.0, 0.0]),
     ], ids=["zero", "below_threshold", "nan", "nan_only", "subnormal_tie", "complex",
-            "front_at_last_cell", "plateau", "nan_after_front", "at_epsilon"])
-    def test_measure_matches_front_and_peak_bitwise(self, values):
+            "front_at_last_cell", "plateau", "nan_after_front", "at_epsilon",
+            "squares_underflow", "nan_beside_underflow", "overflow_tie"])
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_measure_matches_front_and_peak_bitwise(self, values, norm):
         grid, epsilon = Grid1D(-0.3, 0.1, 7), 1e-3
         amp = np.abs(values)
-        try:
-            front = nonzero_front(grid, amp, epsilon)
-        except ValueError:
-            with pytest.raises(ValueError, match="^no sample reaches the threshold$"):
-                _front(grid, amp, epsilon)
-            front = math.nan
+        with np.errstate(over="ignore"):  # overflow_tie squares to inf, as the recorder does
+            dens = amp**2
+            measure = lambda: _measure(grid, values, epsilon, False, norm)
+            try:
+                front = nonzero_front(grid, amp, epsilon)
+            except ValueError:
+                with pytest.raises(ValueError, match="^no sample reaches the threshold$"):
+                    _front(grid, amp, epsilon)
+                front = math.nan
+            else:
+                assert bits(_front(grid, amp, epsilon)) == bits(front)
+            try:
+                peak = two_pass_peak(grid, dens)
+            except ValueError:
+                for call in (lambda: _peak(grid, amp), measure):
+                    with pytest.raises(ValueError, match="^zero packet has no peak$"):
+                        call()
+                return
+            _, measured_front, measured_peak, measured_norm = measure()
+            assert bits(measured_front) == bits(front)
+            for got in (measured_peak, _peak(grid, amp)):
+                assert bits(got) == bits(peak)
+        if norm:
+            assert bits(measured_norm) == bits(math.sqrt(float(np.sum(dens) * grid.dx)))
         else:
-            assert np.float64(_front(grid, amp, epsilon)).tobytes() == np.float64(front).tobytes()
-        try:
-            peak = two_pass_peak(grid, amp**2)
-        except ValueError:
-            for measure in (lambda: _peak(grid, amp**2),
-                            lambda: _measure(grid, values, epsilon, False, False)):
-                with pytest.raises(ValueError, match="^zero packet has no peak$"):
-                    measure()
-            return
-        _, measured_front, measured_peak, _ = _measure(grid, values, epsilon, False, False)
-        assert np.float64(measured_front).tobytes() == np.float64(front).tobytes()
-        for got in (measured_peak, _peak(grid, amp**2)):
-            assert np.float64(got).tobytes() == np.float64(peak).tobytes()
+            assert measured_norm is None
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kc_val": 3.0}, {}, {"kc_val": 2.0, "courant": 0.8},
+    ], ids=["barrier", "vacuum", "courant_0.8"])
+    def test_every_record_is_measured_as_by_square_and_scan(self, kwargs):
+        # Every record of a dense run, bitwise: the front as by np.nonzero and the
+        # peak as on the squared field.
+        grid, record = make_run(steps=200, record_every=1, **kwargs)
+        assert len(record.snapshots) == 201
+        epsilon = 1e-10 * np.abs(record.snapshots[0].values).max()
+        for wp, front, peak in zip(record.snapshots, record.front_positions,
+                                   record.peak_positions):
+            amp = np.abs(wp.values)
+            assert bits(front) == bits(nonzero_front(grid, amp, epsilon))
+            assert bits(peak) == bits(two_pass_peak(grid, amp**2))
 
     def test_first_of_subnormal_maxima_is_the_peak(self):
         grid, amp = Grid1D(-0.3, 0.1, 7), SUBNORMAL_TIE
         dens = amp**2
         assert dens[2] == dens[4] and amp[2] < amp[4]
-        assert _peak(grid, dens) == pytest.approx(grid.x_min + 2 * grid.dx, abs=0.5 * grid.dx)
+        assert _peak(grid, amp) == pytest.approx(grid.x_min + 2 * grid.dx, abs=0.5 * grid.dx)
 
     def test_norm_drift_names_first_recorded_step_over_tolerance(self):
         record = schrodinger_run(steps=40, record_every=4)

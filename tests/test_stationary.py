@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +99,21 @@ class TestBarrierSolution:
                 barrier_solution(E, spec)
         with pytest.raises(ValueError):
             threshold_solution(math.nan, 2.0)
+
+    @pytest.mark.parametrize("U0, m, E, named", [
+        (1e300, 1e300, 5e299, "E=5e+299"),  # 2 m E overflows: k = inf
+        (1.0, 1e-160, np.array([0.5, 1e-170, 1e-180]), "E=1e-170"),  # the first such entry
+        (1e-300, 1e-300, 5e-301, "E=5e-301"),  # 2 m E underflows: k = 0
+        (1.0, 1e-310, np.array([0.5, 1.0 - 2.0**-53]), "E=0.9999999999999999"),  # kappa = 0
+    ])
+    def test_wavenumber_outside_doubles_names_E_U0_and_m(self, U0, m, E, named):
+        message = re.escape(f"k and kappa must be positive and finite, got {named}, U0={U0}, m={m}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                barrier_solution(E, BarrierSpec(U0, 1.0, m))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                threshold_solution(E, U0, m)
 
     @pytest.mark.parametrize("d", [0.05, 1.0, 800.0])
     def test_array_energies_equal_scalar_calls(self, d):
