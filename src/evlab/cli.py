@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ftir, propagate, spectral, stationary, tolman, ttime
-from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, format_17g
+from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, _require_all, format_17g
 
 SI_PHOTON_UNITS = UnitSystem(hbar=1.054571817e-34, c=299792458.0, default_mass=1.0)
 UNITS = {"natural": NATURAL_UNITS, "si-photon": SI_PHOTON_UNITS}  # --units presets
@@ -165,7 +165,13 @@ def cmd_ttime(args, out: OutputWriter):
     if not args.sweep_e and args.e is None:
         raise CliError("give --e or --sweep-e (as fractions of U0)")
     fractions = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
-    rep = ttime.report(fractions * args.u0, spec, units)
+    _require_finite(out.inputs, "u0")
+    with np.errstate(over="ignore"):  # named below, not warned about
+        energies = fractions * args.u0
+    given = f"the fraction {{}} of sweep_e={args.sweep_e}" if args.sweep_e else "e={}"
+    _require_all((abs(energies) < math.inf) | ~np.isfinite(fractions), fractions,
+                 f"the energy E = U0 e overflows at {given}, u0={args.u0}")
+    rep = ttime.report(energies, spec, units)
     rows = np.column_stack([fractions, rep.esposito_tau, rep.factor_A, rep.phase_time,
                             rep.dwell_time, rep.period_T])
     header = ["e_over_u0", "esposito_tau", "factor_a", "phase_time",

@@ -109,62 +109,82 @@ def _require_all(ok, values, message: str, error=ValueError):
 
 
 # QUADPACK qk15 (Piessens et al., 1983) to double precision, outermost node first: Kronrod
-# nodes on [-1, 1], their weights, and the 7-point Gauss weights of every second node.
+# nodes on [-1, 1], their weights, and the 7-point Gauss weights of every second node. As
+# in qk15, a rule weights the sums f(c - h x) + f(c + h x) of mirrored nodes; the middle
+# node's sum is 2 f(c), so its weights are halved.
 _XGK = np.array([
     0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0])
 _WGK = np.array([
     0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782])
-_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694])
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782 / 2])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+                0.4179591836734694 / 2])
 _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-_KRONROD_W = np.concatenate([_WGK, _WGK[-2::-1]])
-_GAUSS_W = np.concatenate([_WG, _WG[-2::-1]])
+_MIDDLE = _XGK.size - 1
+# Offsets from a panel's centre, in its half-widths, of the K15 nodes of its _SPLIT equal
+# sub-panels, one row per sub-panel; the middle node of a row is its sub-panel's centre.
+_SUB_NODES = (np.arange(1 - _SPLIT, _SPLIT, 2)[:, None] + _NODES) / _SPLIT
+# The same nodes of [a, b] as offsets from a (first half of the rows) or from b: a node's
+# rounding error then scales with its distance from the nearer end, not from the centre.
+_END_NODES = (np.r_[1:_SPLIT:2, 1 - _SPLIT:0:2][:, None] + _NODES) / _SPLIT
 
 
-def _panels(f, lo, hi):
-    """Rows (lo, hi, K15, |K15 - G7|) of panels [lo, hi], from one f call."""
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = f(centre[:, None] + half[:, None] * _NODES)
-    kronrod = half * (fx @ _KRONROD_W)
-    return np.stack([lo, hi, kronrod, np.abs(kronrod - half * (fx[:, 1::2] @ _GAUSS_W))])
+def _sub_panels(x, fx, half):
+    """Rows (centre, half-width, K15, |K15 - G7|) of the _SPLIT sub-panels of each panel of
+    half-width half (a column, or a number for one panel), from their nodes x, one row of
+    _NODES per sub-panel, and fx = f(x); a sub-panel's centre is its middle node."""
+    fx = fx.reshape(-1, _NODES.size)
+    mirrored = fx[:, :_MIDDLE + 1] + fx[:, :_MIDDLE - 1:-1]
+    rows = np.empty((4, fx.shape[0] // _SPLIT, _SPLIT))
+    rows[0] = x[..., _MIDDLE]
+    rows[1] = half / _SPLIT
+    np.multiply(rows[1], (mirrored @ _WGK).reshape(rows[1].shape), out=rows[2])
+    gauss = rows[1] * (mirrored[:, 1::2] @ _WG).reshape(rows[1].shape)
+    np.abs(rows[2] - gauss, out=rows[3])
+    return rows.reshape(4, -1)
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod (G7/K15) quadrature of f over [a, b].
 
-    f maps an array of abscissae to an array of the same shape, one call for the endpoints,
-    one for [a, b] and one per refinement round, on the 16 equal sub-panels of every panel
-    over budget. The result I satisfies |I - integral| <= tol * max(1, |I|) within
-    MAX_QUAD_DEPTH halvings of [a, b] (four per round) and MAX_QUAD_PANELS panels, or an
-    IntegrationError carries the best estimate. The rule is absolute below |I| = 1: callers
-    scale f so that I is O(1).
+    f maps an array of abscissae to an array of the same shape. Its first call holds a and
+    b, which must give finite values, and the nodes of the 16 equal sub-panels of [a, b];
+    each refinement round then makes one call, on the nodes of the 16 equal sub-panels of
+    every panel over budget. The result I satisfies |I - integral| <= tol * max(1, |I|)
+    within MAX_QUAD_DEPTH halvings of [a, b] (four per round, the first call's split
+    included) and MAX_QUAD_PANELS panels, or an IntegrationError carries the best estimate.
+    The rule is absolute below |I| = 1: callers scale f so that I is O(1).
     """
     if not a < b:
         raise ValueError(f"require a < b, got a={a}, b={b}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not np.all(np.isfinite(f(np.array([a, b], dtype=float)))):
+    half = 0.5 * (b - a)
+    first = np.empty(2 + _SUB_NODES.size)
+    first[:2] = a, b
+    x = first[2:].reshape(_SUB_NODES.shape)
+    np.multiply(half, _END_NODES, out=x)
+    x[:_SPLIT // 2] += a
+    x[_SPLIT // 2:] += b
+    fx = f(first)
+    if not np.all(np.isfinite(fx[:2])):
         raise ValueError("integrand not finite at interval endpoints")
-    panels = _panels(f, np.array([a], dtype=float), np.array([b], dtype=float))
-    for rounds in itertools.count():
-        lo, hi, value, error = panels
-        total = float(value.sum())
+    panels = _sub_panels(x, fx[2:], half)
+    for rounds in itertools.count(1):
+        total, error = panels[2:].sum(axis=1).tolist()
         budget = tol * max(1.0, abs(total))
-        if error.sum() <= budget:
-            return total
+        if error <= budget:
+            return math.fsum(panels[2].tolist())  # the panels' sum, rounded once
         # Refine every panel whose error exceeds an equal share of the budget;
         # the others keep their values and may be refined in a later round.
-        split = error > budget / error.size
-        count = error.size + (_SPLIT - 1) * int(split.sum())
+        split = panels[3] > budget / panels.shape[1]
+        count = panels.shape[1] + (_SPLIT - 1) * int(np.count_nonzero(split))
         if (rounds + 1) * _SPLIT_HALVINGS > MAX_QUAD_DEPTH or count > MAX_QUAD_PANELS:
             raise IntegrationError(f"quadrature did not converge in {rounds} rounds", total)
-        # Four bisections in one go: the sub-panels have the edges bisection would reach.
-        lo, hi = lo[split], hi[split]
-        for _ in range(_SPLIT_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        panels = np.concatenate([_panels(f, lo, hi), panels[:, ~split]], axis=1)
+        centre, half = panels[:2, split, None]
+        x = centre[..., None] + half[..., None] * _SUB_NODES
+        panels = np.concatenate([_sub_panels(x, f(x), half), panels[:, ~split]], axis=1)
 
 
 # format_17g: tables below FORMAT_VECTOR_MIN_CELLS values go through CPython's %, whose

@@ -16,6 +16,7 @@ exp(-kappa x), exp(kappa (x - d)); closed forms serve only as test oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +89,22 @@ class StationarySolution:
 
 def _wavenumbers(E, U0: float, m: float, units: UnitSystem):
     """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array);
-    raises ValueError if any E lies outside, NaN included, or where k or kappa
-    is 0 or inf, naming E, U0 and m."""
+    raises ValueError if any E lies outside, NaN included, where k or kappa is 0
+    or inf, or where 4 k kappa or k^2 + kappa^2 (the moduli of -4ik kappa and of
+    p^2 = (kappa + ik)^2 in the slab determinant) is not a finite normal double,
+    naming E, U0 and m."""
     _require_all((E > 0) & (E < U0), E, f"E={{}} is not inside 0 < E < U0={U0}; "
                  "this solver covers only the evanescent (tunneling) regime")
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
         k, kappa = np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
-    _require_all((k > 0) & (k < math.inf) & (kappa > 0) & (kappa < math.inf), E,
-                 f"k and kappa must be positive and finite, got E={{}}, U0={U0}, m={m}")
+        cross, square = 4.0 * k * kappa, k * k + kappa * kappa
+    low, high = np.minimum(cross, square), np.maximum(cross, square)  # NaN if either is
+    ok = (low >= sys.float_info.min) & (high < math.inf)
+    if not ok.all():  # ok implies the k and kappa check, whose message is the narrower
+        _require_all((k > 0) & (k < math.inf) & (kappa > 0) & (kappa < math.inf), E,
+                     f"k and kappa must be positive and finite, got E={{}}, U0={U0}, m={m}")
+        _require_all(ok, E, "4 k kappa and k^2 + kappa^2 must be finite normal doubles, "
+                     f"got E={{}}, U0={U0}, m={m}")
     return k, kappa
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import NATURAL_UNITS, UnitSystem, _require_all, integrate
-from .stationary import BarrierSpec, _phase_rate, _wavenumbers, barrier_solution
+from .stationary import BarrierSpec, _phase_rate, _slab_field, _wavenumbers, barrier_solution
 
 
 class PathologicalRegimeError(ValueError):
@@ -133,10 +133,13 @@ def dwell_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
 def dwell_time_quadrature(
     E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS
 ) -> float:
-    """Independent dwell-time route: direct quadrature of |psi|^2 in the barrier."""
+    """Independent dwell-time route: direct quadrature of |psi|^2 in the barrier, where
+    psi is the interior field of StationarySolution.psi."""
     sol = barrier_solution(E, spec, units)
     j_in = units.hbar * sol.k / spec.mass_m
-    stored = integrate(lambda x: abs(sol.psi(x)) ** 2, 0.0, spec.width_d, 1e-12)
+    d = spec.width_d
+    stored = integrate(lambda x: abs(_slab_field(sol.F1, sol.t, sol.kappa, d, x)) ** 2,
+                       0.0, d, 1e-12)
     return stored / j_in
 
 

@@ -109,6 +109,25 @@ WAVENUMBER_CASES = [
      "got E=5e-301, U0=1e-300, m=1e-300"),
 ]
 
+# Barriers whose 4 k kappa or k^2 + kappa^2 is not a finite normal double.
+SLAB_PRODUCT_CASES = [
+    (["stationary", "--u0", "1e154", "--m", "1e154", "--e", "5e153"],
+     "got E=5e+153, U0=1e+154, m=1e+154"),
+    (["ttime", "--u0", "1e154", "--m", "1e154", "--e", "0.5"],
+     "got E=5e+153, U0=1e+154, m=1e+154"),
+    (["stationary", "--u0", "2", "--e", "1", "--m", "5e-324"], "got E=1.0, U0=2.0, m=5e-324"),
+    (["ttime", "--u0", "2", "--e", "0.5", "--m", "5e-324"], "got E=1.0, U0=2.0, m=5e-324"),
+    (["stationary", "--u0", "1e-200", "--m", "1e-120", "--e", "5e-201"],
+     "got E=5e-201, U0=1e-200, m=1e-120"),
+]
+
+# ttime fractions whose energy E = U0 e is not a double: the option as given and U0.
+ENERGY_OVERFLOW_CASES = [
+    (["ttime", "--u0", "1e300", "--e", "5e299"], "overflows at e=5e+299, u0=1e+300"),
+    (["ttime", "--u0", "1e300", "--sweep-e=-5e299:0.5:3"],
+     "overflows at the fraction -5e+299 of sweep_e=-5e299:0.5:3, u0=1e+300"),
+]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -230,6 +249,9 @@ class TestExitCodes:
         *THETA_CASES,
         # k or kappa is 0 or inf, though E, U0 and m are doubles: all three are named.
         *WAVENUMBER_CASES,
+        # The slab determinant's products leave the doubles: E, U0 and m are named.
+        *SLAB_PRODUCT_CASES,
+        *ENERGY_OVERFLOW_CASES,
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -251,6 +273,7 @@ class TestExitCodes:
         ["ttime", "--u0", "1e-305", "--e", "0.9999999999999999"],
         *[["ftir", "--gap-d", "1", "--omega", omega] for omega in GAP_OMEGAS],
         *[argv for argv, _ in THETA_CASES + WAVENUMBER_CASES],
+        *[argv for argv, _ in SLAB_PRODUCT_CASES + ENERGY_OVERFLOW_CASES],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):
@@ -315,6 +338,19 @@ class TestExitCodes:
             assert invoke(["ttime", "--u0", repr(u0), "--e", "0.5"], tmp_path, monkeypatch) == 0
         (row,) = load_rows(tmp_path / "ttime.csv")
         assert row["esposito_tau"] == pytest.approx(2.0 / u0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["stationary", "--u0", "2", "--e", "1e-310"],
+        ["stationary", "--u0", "1e-300", "--e", "5e-301"],
+        ["stationary", "--u0", "1e150", "--m", "1e150", "--e", "5e149"],
+    ])
+    def test_slab_products_inside_doubles_run(self, tmp_path, monkeypatch, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(argv, tmp_path, monkeypatch) == 0
+        (row,) = load_rows(tmp_path / "stationary.csv")
+        assert all(math.isfinite(v) for v in row.values())
+        assert row["T"] + row["R"] == pytest.approx(1.0, abs=1e-12)
 
     def test_opaque_gap_experiment_report(self, tmp_path, monkeypatch):
         code = invoke(["ftir", "--experiment-report", "--kappa-d", "1000"],

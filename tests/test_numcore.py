@@ -141,14 +141,14 @@ class TestIntegrate:
         assert integrate(f, 0.0, 1e6, 1e-12) == pytest.approx(1e6 - c, rel=1e-12)
 
     @pytest.mark.parametrize("f, a, b, tol, most", [
-        (lambda x: 1.0 / (math.pi * (1.0 + x * x)), -1e4, 1e4, 1e-10, 6),
-        (lambda x: 1e-6 / (math.pi * (x * x + 1e-6 * 1e-6)), -1e3, 1e3, 1e-10, 10),
-        (lambda x: np.where(x < 1e6 / math.sqrt(2.0), 0.0, 1.0), 0.0, 1e6, 1e-12, 12),
-        (spectral._unit_lorentzian, -1e4, 1e4, 1e-10, 6),
+        (lambda x: 1.0 / (math.pi * (1.0 + x * x)), -1e4, 1e4, 1e-10, 4),
+        (lambda x: 1e-6 / (math.pi * (x * x + 1e-6 * 1e-6)), -1e3, 1e3, 1e-10, 8),
+        (lambda x: np.where(x < 1e6 / math.sqrt(2.0), 0.0, 1.0), 0.0, 1e6, 1e-12, 10),
+        (spectral._unit_lorentzian, -1e4, 1e4, 1e-10, 4),
     ], ids=["broad-lorentzian", "sharp-lorentzian", "jump", "unit-lorentzian"])
     def test_few_integrand_calls(self, f, a, b, tol, most):
-        # One call for the endpoints, one for [a, b] and one per refinement round:
-        # each round splits a panel over budget into 16, so few rounds are needed.
+        # One call for the endpoints and the 16 sub-panels of [a, b], then one per
+        # refinement round: each splits a panel over budget into 16, so few are needed.
         calls = []
 
         def counted(x):
@@ -157,6 +157,38 @@ class TestIntegrate:
 
         integrate(counted, a, b, tol)
         assert len(calls) <= most
+
+    def test_first_call_carries_endpoints_and_sixteen_sub_panels(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return np.ones_like(x)
+
+        assert integrate(f, 2.0, 5.0, 1e-12) == 3.0
+        (x,) = calls
+        assert x.shape == (2 + 16 * 15,) and list(x[:2]) == [2.0, 5.0]
+        middles = x[2:].reshape(16, 15)[:, 7]
+        assert np.array_equal(middles, 2.0 + 3.0 * (np.arange(16) + 0.5) / 16)
+
+    def test_sub_panels_tile_the_interval(self):
+        # A constant integrand sums the sub-panels' widths: a gap or an overlap between
+        # centre/half-width sub-panels shows as a total other than b - a, at any scale.
+        rng = np.random.default_rng(30)
+        ones = lambda x: np.ones_like(x)
+        for width in np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 200)):
+            centre = width * rng.uniform(0.5, 4.0) * rng.choice([-1.0, 1.0])
+            a, b = centre - 0.5 * width, centre + 0.5 * width
+            assert integrate(ones, a, b, 1e-12) == pytest.approx(b - a, rel=4e-16, abs=0.0)
+
+    def test_refined_sub_panels_tile_the_interval(self):
+        # A step refines the panels around it for many rounds; the panels refined and
+        # kept still cover [a, b] once: the result is (b - c) / (b - a) to the tolerance.
+        for a, b in ((-3.0, 7.0), (1e-200, 3e-200), (5e150, 9e150)):
+            c = a + (b - a) / math.sqrt(2.0)
+            step = lambda x: np.where(x < c, 0.0, 1.0 / (b - a))
+            assert integrate(step, a, b, 1e-12) == pytest.approx(
+                (b - c) / (b - a), rel=0.0, abs=1e-12)
 
     def test_depth_cap_raises_with_best_estimate(self, monkeypatch):
         import evlab.numcore as numcore

@@ -115,6 +115,36 @@ class TestBarrierSolution:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 threshold_solution(E, U0, m)
 
+    @pytest.mark.parametrize("U0, m, E", [
+        (1e154, 1e154, 5e153),  # 4 k kappa = 4e308 overflows
+        (2.0, 2.0**1021, 1.0),  # 4 k kappa = 2^1024
+        (2.0, 5e-324, 1.0),  # 4 k kappa is subnormal
+        (2.0, 2.0**-1025, 1.0),  # 4 k kappa = 2^-1022 is normal, k^2 + kappa^2 is not
+        (1e-200, 1e-120, np.array([2e-201, 5e-201])),  # 4 k kappa ~ 1e-320 at the first E
+    ])
+    def test_slab_products_outside_doubles_name_E_U0_and_m(self, U0, m, E):
+        named = f"E={np.ravel(E)[0]}, U0={U0}, m={m}"
+        message = re.escape("4 k kappa and k^2 + kappa^2 must be finite normal doubles, "
+                            f"got {named}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                barrier_solution(E, BarrierSpec(U0, 1.0, m))
+
+    @pytest.mark.parametrize("U0, m, E", [
+        (2.0, 2.0**1020, 1.0),  # 4 k kappa = 2^1023, the largest power of two
+        (2.0, 2.0**-1024, 1.0),  # k^2 + kappa^2 = 2^-1022, the least normal double
+        (1e150, 1e150, 5e149),
+        (1e-300, 1.0, 5e-301),
+        (2.0, 1.0, 1e-310),  # k^2 is subnormal, k^2 + kappa^2 is not
+    ])
+    def test_slab_products_inside_doubles_solve(self, U0, m, E):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = barrier_solution(E, BarrierSpec(U0, 1.0, m))
+        assert all(math.isfinite(abs(v)) for v in (sol.F1, sol.F2, sol.r, sol.t))
+        assert sol.transmission + sol.reflection == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("d", [0.05, 1.0, 800.0])
     def test_array_energies_equal_scalar_calls(self, d):
         spec = BarrierSpec(2.0, d, 1.3)

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from evlab.stationary import BarrierSpec
+from evlab.numcore import integrate
+from evlab.stationary import BarrierSpec, barrier_solution
 from evlab.ttime import (
     PathologicalRegimeError,
     dwell_time,
@@ -217,6 +218,17 @@ class TestDwellTime:
             td = dwell_time(0.5, spec)
             assert td == pytest.approx(dwell_time_quadrature(0.5, spec), rel=1e-9)
             assert td == pytest.approx(limit, rel=1e-9)
+
+    def test_quadrature_integrand_is_psi_bitwise(self):
+        # The quadrature integrates the interior field of StationarySolution.psi.
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            U0, d = rng.uniform(0.1, 10.0), rng.uniform(0.01, 20.0)
+            E = U0 * rng.uniform(0.01, 0.99)
+            spec = BarrierSpec(U0, d, rng.uniform(0.5, 2.0))
+            sol = barrier_solution(E, spec)
+            stored = integrate(lambda x: abs(sol.psi(x)) ** 2, 0.0, d, 1e-12)
+            assert dwell_time_quadrature(E, spec) == stored / (sol.k / spec.mass_m)
 
     def test_positive_and_below_phase_time_when_opaque(self):
         spec = BarrierSpec(2.0, 8.0)
