@@ -171,6 +171,8 @@ def cmd_ttime(args, out: OutputWriter):
     given = f"the fraction {{}} of sweep_e={args.sweep_e}" if args.sweep_e else "e={}"
     _require_all((abs(energies) < math.inf) | ~np.isfinite(fractions), fractions,
                  f"the energy E = U0 e overflows at {given}, u0={args.u0}")
+    _require_all((energies != 0) | (fractions == 0), fractions,
+                 f"the energy E = U0 e underflows to 0 at {given}, u0={args.u0}")
     rep = ttime.report(energies, spec, units)
     rows = np.column_stack([fractions, rep.esposito_tau, rep.factor_A, rep.phase_time,
                             rep.dwell_time, rep.period_T])

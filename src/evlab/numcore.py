@@ -23,9 +23,10 @@ _SPLIT = 1 << _SPLIT_HALVINGS  # sub-panels of each panel a round refines
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the best estimate."""
+    """Adaptive quadrature failed to converge; carries the best estimate, NaN when the
+    integrand was not finite."""
 
-    def __init__(self, message: str, best_estimate: float):
+    def __init__(self, message: str, best_estimate: float = math.nan):
         super().__init__(message)
         self.best_estimate = best_estimate
 
@@ -154,6 +155,8 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     every panel over budget. The result I satisfies |I - integral| <= tol * max(1, |I|)
     within MAX_QUAD_DEPTH halvings of [a, b] (four per round, the first call's split
     included) and MAX_QUAD_PANELS panels, or an IntegrationError carries the best estimate.
+    A call whose values are not all finite raises an IntegrationError in its own round,
+    naming the first such abscissa in the call and [a, b].
     The rule is absolute below |I| = 1: callers scale f so that I is O(1).
     """
     if not a < b:
@@ -170,6 +173,8 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
     fx = f(first)
     if not np.all(np.isfinite(fx[:2])):
         raise ValueError("integrand not finite at interval endpoints")
+    nonfinite = f"integrand not finite at x={{}} in [{a}, {b}]"
+    _require_all(np.isfinite(fx), first, nonfinite, IntegrationError)
     panels = _sub_panels(x, fx[2:], half)
     for rounds in itertools.count(1):
         total, error = panels[2:].sum(axis=1).tolist()
@@ -184,7 +189,9 @@ def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
             raise IntegrationError(f"quadrature did not converge in {rounds} rounds", total)
         centre, half = panels[:2, split, None]
         x = centre[..., None] + half[..., None] * _SUB_NODES
-        panels = np.concatenate([_sub_panels(x, f(x), half), panels[:, ~split]], axis=1)
+        fx = f(x)
+        _require_all(np.isfinite(fx), x, nonfinite, IntegrationError)
+        panels = np.concatenate([_sub_panels(x, fx, half), panels[:, ~split]], axis=1)
 
 
 # format_17g: tables below FORMAT_VECTOR_MIN_CELLS values go through CPython's %, whose

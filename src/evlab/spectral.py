@@ -10,6 +10,7 @@ deviation, finite whenever high frequencies decay fast enough).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -112,16 +113,23 @@ def _moment(m: int, lo: float) -> float:
     return 2.0 * (body / scale + _tail_moment(SERIES_CUT, m))
 
 
+@functools.cache
+def _line_moment(m: int) -> float:
+    """2 int_0^inf u^(2m) |F(u; 1)|^2 du, m in {0, 1}: a number free of every input, so its
+    quadrature runs once per process."""
+    return _moment(m, 0.0)
+
+
 def box_parseval(a: float) -> float:
     """int |F|^2 dk = int |F(u; 1)|^2 du = 1, with u = a k."""
     BoxState(a)
-    return _moment(0, 0.0)
+    return _line_moment(0)
 
 
 def box_k2_spectral(a: float) -> float:
     """int k^2 |F|^2 dk = int u^2 |F(u; 1)|^2 du / a^2 = (pi/a)^2."""
     BoxState(a)
-    return _moment(1, 0.0) / a / a
+    return _line_moment(1) / a / a
 
 
 def tail_probability(k_prime: float, a: float) -> dict:
@@ -163,12 +171,17 @@ def lorentzian_density(omega: float, line: LineShape) -> float:
     return _unit_lorentzian((omega - line.omega0) / line.gamma0) / line.gamma0
 
 
+@functools.cache
+def _lorentzian_body() -> float:
+    """int_-1e4^1e4 of the unit line in u, the same for every line: measured once per process."""
+    return integrate(_unit_lorentzian, -1e4, 1e4, 1e-10)
+
+
 def lorentzian_norm(line: LineShape) -> float:
     """Normalization of any line: quadrature in u plus analytic arctan tails."""
-    body = integrate(_unit_lorentzian, -1e4, 1e4, 1e-10)
     # int_U^inf = 1/2 - (1/pi) arctan(2 U), the same on the left.
     tail = 1.0 - (2.0 / math.pi) * math.atan(2e4)
-    return body + tail
+    return _lorentzian_body() + tail
 
 
 def released_energy_spread(a: float, units: UnitSystem = NATURAL_UNITS) -> dict:
@@ -183,6 +196,19 @@ def released_energy_spread(a: float, units: UnitSystem = NATURAL_UNITS) -> dict:
     }
 
 
+@functools.cache
+def _gaussian_moments() -> tuple[float, float]:
+    """(mean, variance) of the unit band exp(-u^2 / 2) in u = (omega - omega0) / sigma, the
+    same for every band: measured once per process."""
+    # In u the integrals are O(1), so the tol max(1, |I|) contract stays
+    # relative at any sigma and omega0.
+    density = lambda u: np.exp(-0.5 * u * u)
+    norm = integrate(density, -12.0, 12.0, 1e-12)
+    mean_u = integrate(lambda u: u * density(u), -12.0, 12.0, 1e-12) / norm
+    var_u = integrate(lambda u: (u - mean_u) ** 2 * density(u), -12.0, 12.0, 1e-12) / norm
+    return mean_u, var_u
+
+
 def gaussian_band_report(
     omega0: float, sigma: float, units: UnitSystem = NATURAL_UNITS
 ) -> dict:
@@ -190,18 +216,14 @@ def gaussian_band_report(
     unbounded ('infinite' band) while the standard deviation is sigma and
     the mean energy hbar omega0 stays finite.
 
-    delta_omega is recomputed by moment quadrature rather than echoed from
-    the parameter, so the report is a measurement, not a restatement.
+    delta_omega and the mean come from the unit band's moments, measured by
+    quadrature once per process rather than echoed from the parameters, so the
+    report is a measurement, not a restatement.
     """
     if not (0 < omega0 < math.inf and 0 < sigma < math.inf):
         raise ValueError("omega0 and sigma must be positive and finite, "
                          f"got omega0={omega0}, sigma={sigma}")
-    # In u = (omega - omega0) / sigma the integrals are O(1), so the
-    # tol max(1, |I|) contract stays relative at any sigma and omega0.
-    density = lambda u: np.exp(-0.5 * u * u)
-    norm = integrate(density, -12.0, 12.0, 1e-12)
-    mean_u = integrate(lambda u: u * density(u), -12.0, 12.0, 1e-12) / norm
-    var_u = integrate(lambda u: (u - mean_u) ** 2 * density(u), -12.0, 12.0, 1e-12) / norm
+    mean_u, var_u = _gaussian_moments()
     return {
         "band": "infinite",
         "delta_omega": sigma * math.sqrt(var_u),

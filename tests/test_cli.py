@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import evlab
-from evlab import cli, stationary, tolman, ttime
+from evlab import cli, spectral, stationary, tolman, ttime
 from evlab.cli import run
 from test_ttime import buttiker_dwell_time, buttiker_phase_time
 
@@ -121,11 +121,15 @@ SLAB_PRODUCT_CASES = [
      "got E=5e-201, U0=1e-200, m=1e-120"),
 ]
 
-# ttime fractions whose energy E = U0 e is not a double: the option as given and U0.
-ENERGY_OVERFLOW_CASES = [
+# ttime fractions whose energy E = U0 e overflows, or underflows to 0 from a nonzero
+# fraction: the option as given and U0.
+ENERGY_RANGE_CASES = [
     (["ttime", "--u0", "1e300", "--e", "5e299"], "overflows at e=5e+299, u0=1e+300"),
     (["ttime", "--u0", "1e300", "--sweep-e=-5e299:0.5:3"],
      "overflows at the fraction -5e+299 of sweep_e=-5e299:0.5:3, u0=1e+300"),
+    (["ttime", "--u0", "5e-324", "--e", "0.5"], "underflows to 0 at e=0.5, u0=5e-324"),
+    (["ttime", "--u0", "0.5", "--sweep-e=5e-324:0.5:3"],
+     "underflows to 0 at the fraction 5e-324 of sweep_e=5e-324:0.5:3, u0=0.5"),
 ]
 
 
@@ -251,7 +255,7 @@ class TestExitCodes:
         *WAVENUMBER_CASES,
         # The slab determinant's products leave the doubles: E, U0 and m are named.
         *SLAB_PRODUCT_CASES,
-        *ENERGY_OVERFLOW_CASES,
+        *ENERGY_RANGE_CASES,
     ])
     def test_nan_input_is_1_and_named(self, tmp_path, monkeypatch, capsys, argv, named):
         assert invoke(argv, tmp_path, monkeypatch) == 1
@@ -273,7 +277,7 @@ class TestExitCodes:
         ["ttime", "--u0", "1e-305", "--e", "0.9999999999999999"],
         *[["ftir", "--gap-d", "1", "--omega", omega] for omega in GAP_OMEGAS],
         *[argv for argv, _ in THETA_CASES + WAVENUMBER_CASES],
-        *[argv for argv, _ in SLAB_PRODUCT_CASES + ENERGY_OVERFLOW_CASES],
+        *[argv for argv, _ in SLAB_PRODUCT_CASES + ENERGY_RANGE_CASES],
     ])
     def test_failed_run_leaves_no_directory_and_prints_nothing(self, tmp_path, monkeypatch,
                                                                 capsys, argv):
@@ -522,6 +526,21 @@ class TestSubcommands:
         line = load_summary(tmp_path, "spectrum")["outputs"]["lorentzian"]
         assert line["norm"] == pytest.approx(1.0, abs=1e-12)
         assert line["peak"] == pytest.approx(2.0 / (math.pi * 1e-12), rel=1e-15)
+
+    def test_spectrum_summary_same_on_cold_and_warm_quadrature_cache(self, tmp_path,
+                                                                     monkeypatch):
+        # The input-free quadratures run on the first run in a process and are read back
+        # on the next: both runs write the same bytes.
+        for helper in (spectral._line_moment, spectral._lorentzian_body,
+                       spectral._gaussian_moments):
+            helper.cache_clear()
+        argv = ["spectrum", "--a", "0.37", "--tail-akprime", "10", "--lorentz", "1", "0.5",
+                "--gauss", "10", "0.5"]
+        for run_dir in ("cold", "warm"):
+            assert invoke(argv + ["--output-dir", run_dir], tmp_path, monkeypatch) == 0
+        assert spectral._line_moment.cache_info().currsize == 2
+        assert ((tmp_path / "cold" / "spectrum_summary.json").read_bytes()
+                == (tmp_path / "warm" / "spectrum_summary.json").read_bytes())
 
     def test_spectrum_tail_warning_recorded(self, tmp_path, monkeypatch):
         code = invoke(["spectrum", "--a", "1.0", "--tail-akprime", "628.3"],

@@ -1,6 +1,7 @@
 """Tests for the shared numerical core."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,39 @@ class TestIntegrate:
             integrate(f, 0.0, 1.0, 1e-12)
         assert max(sizes) <= 2 * 15 * 256
         assert abs(info.value.best_estimate) <= 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_integrand_named_after_one_call(self, bad):
+        # A NaN panel fails every comparison, so it is never split: unnamed, each later
+        # round made an empty call until the depth cap.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(abs(x - 0.3) < 0.01, bad, 1.0)
+
+        with pytest.raises(IntegrationError, match=r"not finite at x=\S+ in \[0.0, 1.0\]") as info:
+            integrate(f, 0.0, 1.0)
+        assert calls == [2 + 16 * 15]
+        named = float(re.search(r"x=(\S+) in", str(info.value)).group(1))
+        assert abs(named - 0.3) < 0.01 and math.isnan(info.value.best_estimate)
+
+    def test_nonfinite_integrand_named_in_the_round_it_appears(self):
+        # NaN on 2e-9 around a step: only refinement reaches it, and the first call that
+        # does is the last call made.
+        c = 1.0 / math.sqrt(2.0)
+        seen = []
+
+        def f(x):
+            fx = np.where(abs(x - c) < 1e-9, math.nan, np.where(x < c, 0.0, 1.0))
+            seen.append(bool(np.isfinite(fx).all()))
+            return fx
+
+        with pytest.raises(IntegrationError, match=r"in \[0.0, 1.0\]") as info:
+            integrate(f, 0.0, 1.0, 1e-12)
+        assert len(seen) > 1 and seen == [True] * (len(seen) - 1) + [False]
+        named = float(re.search(r"x=(\S+) in", str(info.value)).group(1))
+        assert abs(named - c) < 1e-9
 
 
 def reference_17g(values, sep) -> bytes:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from evlab import spectral, ttime
 from evlab.numcore import integrate
 from evlab.spectral import (
     ORACLE_TAIL_COEFFICIENT,
@@ -25,6 +26,8 @@ from evlab.spectral import (
     _tail_moment,
     tail_probability,
 )
+from evlab.stationary import BarrierSpec
+from evlab.ttime import dwell_time_quadrature
 
 
 # Box widths over 300 decades: every box result is computed in u = a k or
@@ -291,3 +294,61 @@ class TestBandReports:
     def test_gaussian_band_validation(self):
         with pytest.raises(ValueError):
             gaussian_band_report(0.0, 1.0)
+
+
+# The input-free quadratures behind four public results, each cached once per process.
+CACHED = [(spectral._line_moment, (0,)), (spectral._line_moment, (1,)),
+          (spectral._lorentzian_body, ()), (spectral._gaussian_moments, ())]
+WARM_CALLS = [
+    lambda a: box_parseval(a),
+    lambda a: box_k2_spectral(a),
+    lambda a: lorentzian_norm(LineShape(a, a)),
+    lambda a: gaussian_band_report(a, a),
+]
+
+
+class TestQuadratureCache:
+    @pytest.mark.parametrize("helper, args", CACHED)
+    def test_cached_bits_equal_uncached(self, helper, args):
+        bits = lambda value: [float(v).hex() for v in np.atleast_1d(value)]
+        assert bits(helper(*args)) == bits(helper.__wrapped__(*args))
+
+    def test_warm_calls_make_no_integrand_call(self, monkeypatch):
+        for call in WARM_CALLS:
+            call(1.0)
+        integrands = []
+        monkeypatch.setattr(spectral, "integrate", lambda f, *args: integrands.append(f))
+        for call in WARM_CALLS:
+            for a in (1e-3, 0.37, 2.5, 1e5):
+                call(a)
+        assert integrands == []
+
+    def test_tail_and_dwell_integrate_on_every_call(self, monkeypatch):
+        # Both depend on their inputs: a cache keyed on a float would grow with each one.
+        calls = []
+        counted = lambda f, *args: calls.append(f) or integrate(f, *args)
+        for module in (spectral, ttime):
+            monkeypatch.setattr(module, "integrate", counted)
+        for seen in (2, 4):
+            tail_probability(10.0, 1.0)
+            dwell_time_quadrature(1.0, BarrierSpec(2.0, 1.0))
+            assert len(calls) == seen
+
+    def test_line_moment_keys_stay_bounded(self):
+        for a in np.geomspace(1e-100, 1e100, 50):
+            box_parseval(float(a))
+            box_k2_spectral(float(a))
+        assert spectral._line_moment.cache_info().currsize <= 2
+
+    @pytest.mark.parametrize("call, bad", [
+        (box_parseval, -1.0), (box_parseval, math.nan), (box_k2_spectral, 1e200),
+        (lambda g0: lorentzian_norm(LineShape(1.0, g0)), 0.0),
+        (lambda g0: lorentzian_norm(LineShape(1.0, g0)), math.nan),
+        (lambda sigma: gaussian_band_report(1.0, sigma), -1.0),
+        (lambda sigma: gaussian_band_report(1.0, sigma), math.inf),
+    ])
+    def test_warm_cache_still_refuses_bad_input(self, call, bad):
+        for warm in WARM_CALLS:
+            warm(1.0)
+        with pytest.raises(ValueError):
+            call(bad)
