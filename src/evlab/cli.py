@@ -144,6 +144,9 @@ def cmd_stationary(args, out: OutputWriter):
         raise CliError("give --e or --sweep-e")
     energies = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
     sol = stationary.barrier_solution(energies, spec, units)
+    if args.m0 is not None:  # before the table, so a refused m0 leaves no file behind
+        k = stationary.relativistic_wavenumber(float(energies[0]), args.u0, args.m0, units)
+        out.add_result("relativistic_wavenumber", {"re": k.real, "im": k.imag})
     rows = np.column_stack([
         energies, sol.k, sol.kappa,
         sol.F1.real, sol.F1.imag, sol.F2.real, sol.F2.imag,
@@ -154,9 +157,6 @@ def cmd_stationary(args, out: OutputWriter):
     header = ["E", "k", "kappa", "re_F1", "im_F1", "re_F2", "im_F2",
               "re_r", "im_r", "re_t", "im_t", "T", "R", "flux_interior"]
     out.write_csv("stationary.csv", header, rows)
-    if args.m0 is not None:
-        k = stationary.relativistic_wavenumber(float(energies[0]), args.u0, args.m0, units)
-        out.add_result("relativistic_wavenumber", {"re": k.real, "im": k.imag})
 
 
 def cmd_ttime(args, out: OutputWriter):
@@ -165,7 +165,7 @@ def cmd_ttime(args, out: OutputWriter):
     if not args.sweep_e and args.e is None:
         raise CliError("give --e or --sweep-e (as fractions of U0)")
     fractions = _parse_sweep(args.sweep_e) if args.sweep_e else np.array([args.e])
-    _require_finite(out.inputs, "u0")
+    _require_finite(out.inputs, "u0", "e")
     with np.errstate(over="ignore"):  # named below, not warned about
         energies = fractions * args.u0
     given = f"the fraction {{}} of sweep_e={args.sweep_e}" if args.sweep_e else "e={}"

@@ -8,7 +8,9 @@ follow from per-frequency interface matching of the scalar field.
 
 Effective 1D normal-incidence reduction: the exterior normal wavenumber is
 k1 = (omega/c) n cos(theta) and the interior one is i kappa_x with
-kappa_x = alpha omega / c, alpha = sqrt(n^2 sin^2 theta - 1).
+kappa_x = alpha omega / c, alpha = sqrt(n^2 sin^2 theta - 1). The gap is the
+stationary module's slab in kappa_x units: k1/kappa_x = n cos(theta)/alpha is
+the same at every frequency, and omega enters only through kappa_x d.
 """
 
 from __future__ import annotations
@@ -85,11 +87,12 @@ def _evanescent_sine(n: float, theta: float) -> float:
 def gap_decay(
     n: float, theta: float, omega: float, units: UnitSystem = NATURAL_UNITS
 ) -> dict:
-    """Evanescent decay data for the gap: alpha, kappa_x, k_parallel."""
+    """Evanescent decay data for the gap: alpha, kappa_x, k_parallel. alpha is formed as
+    sqrt(s - 1) sqrt(s + 1), s = n sin(theta), so it is a double wherever s is."""
     if not np.all(omega > 0):
         raise ValueError("omega must be positive")
     s = _evanescent_sine(n, theta)
-    alpha = math.sqrt(s * s - 1.0)
+    alpha = math.sqrt(s - 1.0) * math.sqrt(s + 1.0)
     return {
         "alpha": alpha,
         "kappa_x": alpha * omega / units.c,
@@ -97,33 +100,29 @@ def gap_decay(
     }
 
 
-def _gap_wavenumbers(omega, spec: GapSpec, units: UnitSystem):
-    """Decay data and exterior normal wavenumber k1 at omega > 0 (scalar or array). A k1 or
-    kappa_x outside [2^-500, 2^500], where the slab's products of wavenumbers leave the
-    doubles, raises, naming the inputs."""
+def _gap_units(omega, spec: GapSpec, units: UnitSystem):
+    """Decay data, k1/kappa_x = n cos(theta)/alpha, the same at every omega > 0, and
+    kappa_x d (scalars or arrays, as omega is)."""
     decay = gap_decay(spec.refr_index_n, spec.incidence_theta, omega, units)
-    k1 = (omega / units.c) * spec.refr_index_n * math.cos(spec.incidence_theta)
-    kappa, lo, hi = decay["kappa_x"], 2.0**-500, 2.0**500
-    _require_all((k1 >= lo) & (k1 <= hi) & (kappa >= lo) & (kappa <= hi), omega,
-                 "gap wavenumbers k1 and kappa_x must lie in [2^-500, 2^500], got omega={}, "
-                 f"n={spec.refr_index_n}, theta={spec.incidence_theta}, d={spec.gap_d}")
-    return decay, k1
+    kh = spec.refr_index_n * math.cos(spec.incidence_theta) / decay["alpha"]
+    return decay, kh, decay["kappa_x"] * spec.gap_d
 
 
 def _gap_slab(omega, spec: GapSpec, units: UnitSystem):
-    """Decay data, k1 and the matched (F1, F2, r, t) at omega > 0 (scalar or
-    array); a zero-width gap is the identity transfer."""
-    decay, k1 = _gap_wavenumbers(omega, spec, units)
+    """Decay data and the matched (F1, F2, r, t) at omega > 0 (scalar or array), in
+    kappa_x units; a zero-width gap is the identity transfer."""
+    decay, kh, kd = _gap_units(omega, spec, units)
     if spec.gap_d == 0.0:
-        return decay, k1, (1.0, 0.0, 0.0, 1.0)
-    return decay, k1, match_evanescent_slab(k1, decay["kappa_x"], spec.gap_d)
+        return decay, (1.0, 0.0, 0.0, 1.0)
+    return decay, match_evanescent_slab(kh, kd)
 
 
 def gap_transfer(
     omega: float, spec: GapSpec, units: UnitSystem = NATURAL_UNITS
 ) -> GapTransfer:
     """Interface-matched transfer of a monochromatic wave through the gap."""
-    decay, k1, (F1, F2, r, t) = _gap_slab(omega, spec, units)
+    decay, (F1, F2, r, t) = _gap_slab(omega, spec, units)
+    k1 = (omega / units.c) * spec.refr_index_n * math.cos(spec.incidence_theta)
     return GapTransfer(
         omega=omega, k_parallel=decay["k_parallel"], k_normal=k1, kappa_x=decay["kappa_x"],
         F1=complex(F1), F2=complex(F2), r=complex(r), t=complex(t),
@@ -133,14 +132,13 @@ def gap_transfer(
 def gap_group_delay(
     spec: GapSpec, omega0: float, units: UnitSystem = NATURAL_UNITS
 ) -> float:
-    """Group delay tau_g = d(arg t)/d(omega), differentiated analytically: both
-    wavenumbers are proportional to omega, so dk1/domega = k1/omega and
-    dkappa/domega = kappa/omega."""
-    decay, k1 = _gap_wavenumbers(omega0, spec, units)
+    """Group delay tau_g = d(arg t)/d(omega), differentiated analytically: k1/kappa_x
+    does not depend on omega and d(kappa_x d)/d(omega) = alpha d / c, which stays a
+    double where kappa_x d itself rounds to 0."""
+    decay, kh, kd = _gap_units(omega0, spec, units)
     if spec.gap_d == 0.0:
         return 0.0  # identity transfer: t = 1 at every frequency
-    kappa = decay["kappa_x"]
-    return float(_phase_rate(k1, kappa, spec.gap_d, k1 / omega0, kappa / omega0))
+    return float(_phase_rate(kh, kd, 0.0, decay["alpha"] * spec.gap_d / units.c))
 
 
 def goos_hanchen_estimate(kappa_x: float) -> float:
@@ -169,7 +167,7 @@ def _band_slab(omegas: np.ndarray, spec: GapSpec, units: UnitSystem):
     F1 = np.ones(omegas.shape, dtype=complex)
     t = np.ones(omegas.shape, dtype=complex)
     nonzero = omegas != 0
-    decay, _, (F1_nz, _, _, t_nz) = _gap_slab(np.abs(omegas[nonzero]), spec, units)
+    decay, (F1_nz, _, _, t_nz) = _gap_slab(np.abs(omegas[nonzero]), spec, units)
     kappa[nonzero], F1[nonzero], t[nonzero] = decay["kappa_x"], F1_nz, t_nz
     negative = omegas < 0
     return kappa, np.where(negative, F1.conj(), F1), np.where(negative, t.conj(), t)

@@ -11,12 +11,17 @@ Conventions: unit incident amplitude from the left, regions
 so |t| is the amplitude just past the exit face. Interfaces are matched by
 continuity of the field and its derivative in the interior basis
 exp(-kappa x), exp(kappa (x - d)); closed forms serve only as test oracles.
+
+The matching runs in kappa units: F1, F2, r and t depend only on k/kappa and
+kappa d, and the physical scales (hbar, m, U0, d) enter once, when those two
+numbers are formed from square roots. So every barrier whose k and kappa are
+doubles has an answer: T underflows to 0 through an opaque slab, and is 1
+where kappa d rounds to 0.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,98 +74,79 @@ class StationarySolution:
     def reflection(self) -> float:
         return abs(self.r) ** 2
 
-    def psi(self, x, units: UnitSystem = NATURAL_UNITS):
-        """Evaluate the stationary wavefunction at position(s) x; defined for
-        a scalar-energy solution."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        left = x < 0
-        out[left] = np.exp(1j * self.k * x[left]) + self.r * np.exp(-1j * self.k * x[left])
-        if self.width_d is None:
-            inside = ~left
-            out[inside] = self.F1 * np.exp(-self.kappa * x[inside])
-        else:
-            inside = (~left) & (x <= self.width_d)
-            out[inside] = _slab_field(self.F1, self.t, self.kappa, self.width_d, x[inside])
-            beyond = x > self.width_d
-            out[beyond] = self.t * np.exp(1j * self.k * (x[beyond] - self.width_d))
-        return out if out.shape else complex(out)
 
-
-def _wavenumbers(E, U0: float, m: float, units: UnitSystem):
-    """Exterior k and interior kappa at energies 0 < E < U0 (scalar or array);
-    raises ValueError if any E lies outside, NaN included, where k or kappa is 0
-    or inf, or where 4 k kappa or k^2 + kappa^2 (the moduli of -4ik kappa and of
-    p^2 = (kappa + ik)^2 in the slab determinant) is not a finite normal double,
-    naming E, U0 and m."""
+def _wavenumbers(E, U0: float, m: float, d: float, units: UnitSystem):
+    """k, kappa, k/kappa and kappa d at energies 0 < E < U0 (scalar or array), each a
+    product or quotient of square roots, k = sqrt(2) sqrt(m) sqrt(E) / hbar,
+    kappa = sqrt(2) sqrt(m) sqrt(U0 - E) / hbar and k/kappa = sqrt(E) / sqrt(U0 - E), so
+    no square leaves the doubles on the way. Raises ValueError if any E lies outside, NaN
+    included, or where k or kappa is 0 or inf, naming E, U0 and m. kappa d may round to
+    inf or 0, which the slab reads as opaque or transparent; d = inf is a threshold."""
     _require_all((E > 0) & (E < U0), E, f"E={{}} is not inside 0 < E < U0={U0}; "
                  "this solver covers only the evanescent (tunneling) regime")
+    root_E, root_gap = np.sqrt(E), np.sqrt(U0 - E)
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
-        k, kappa = np.sqrt(2.0 * m * E) / units.hbar, np.sqrt(2.0 * m * (U0 - E)) / units.hbar
-        cross, square = 4.0 * k * kappa, k * k + kappa * kappa
-    low, high = np.minimum(cross, square), np.maximum(cross, square)  # NaN if either is
-    ok = (low >= sys.float_info.min) & (high < math.inf)
-    if not ok.all():  # ok implies the k and kappa check, whose message is the narrower
-        _require_all((k > 0) & (k < math.inf) & (kappa > 0) & (kappa < math.inf), E,
-                     f"k and kappa must be positive and finite, got E={{}}, U0={U0}, m={m}")
-        _require_all(ok, E, "4 k kappa and k^2 + kappa^2 must be finite normal doubles, "
-                     f"got E={{}}, U0={U0}, m={m}")
-    return k, kappa
+        scale = np.sqrt(2.0) * np.sqrt(m)
+        k, kappa = scale * root_E / units.hbar, scale * root_gap / units.hbar
+        kd = kappa * d
+    _require_all((k > 0) & (k < math.inf) & (kappa > 0) & (kappa < math.inf), E,
+                 f"k and kappa must be positive and finite, got E={{}}, U0={U0}, m={m}")
+    return k, kappa, root_E / root_gap, kd
 
 
 def threshold_solution(
     E: float, U0: float, m: float = 1.0, units: UnitSystem = NATURAL_UNITS
 ) -> StationarySolution:
-    """Total reflection from a potential step: one decaying wave for x >= 0."""
-    k, kappa = _wavenumbers(E, U0, m, units)
-    # Continuity of psi and psi' at x = 0 with unit incidence.
-    r = (1j * k + kappa) / (1j * k - kappa)
-    F1 = 1.0 + r
+    """Total reflection from a potential step, the slab of infinite width: one decaying
+    wave for x >= 0, and F2 = t = 0."""
+    k, kappa, kh, kd = _wavenumbers(E, U0, m, math.inf, units)
+    F1, F2, r, t = match_evanescent_slab(kh, kd)
     return StationarySolution(
-        energy_E=E, k=k, kappa=kappa, F1=F1, F2=0.0, r=r, t=0.0, width_d=None, mass_m=m
+        energy_E=E, k=k, kappa=kappa, F1=F1, F2=F2, r=r, t=t, width_d=None, mass_m=m
     )
 
 
-def _slab_system(k_out, kappa, d):
-    """Check the inputs; return q = e^{-kappa d}, s = 1 - q^2, p = kappa + ik,
-    m = kappa - ik and det = m^2 - (p q)^2 = -4ik kappa + p^2 s (no cancellation)."""
-    if not (np.all(k_out > 0) and np.all(kappa > 0) and np.all(d > 0)):
-        raise ValueError("k_out, kappa, and d must be positive")
-    q = np.exp(-kappa * d)
-    s = -np.expm1(-2.0 * kappa * d)
-    p = kappa + 1j * k_out
-    return q, s, p, kappa - 1j * k_out, -4j * k_out * kappa + p * p * s
+def _slab_system(kh, kd):
+    """Check the inputs, kh = k/kappa positive and finite and kd = kappa d non-negative;
+    return q = e^{-kd}, s = 1 - q^2, p = 1 + i kh, m = 1 - i kh and
+    det = m^2 - (p q)^2 = -4i kh + p^2 s (no cancellation), all in kappa units."""
+    if not (np.all((kh > 0) & (kh < math.inf)) and np.all(kd >= 0)):
+        raise ValueError("k/kappa must be positive and finite, and kappa d non-negative")
+    q = np.exp(-kd)
+    s = -np.expm1(-2.0 * kd)
+    p = 1.0 + 1j * kh
+    return q, s, p, 1.0 - 1j * kh, -4j * kh + p * p * s
 
 
-def match_evanescent_slab(k_out, kappa, d):
-    """Match an evanescent slab of decay kappa and width d between two
-    half-spaces of real wavenumber k_out, unit incidence from the left.
+def match_evanescent_slab(kh, kd):
+    """Match an evanescent slab between two half-spaces of real wavenumber k, unit
+    incidence from the left. The amplitudes depend only on kh = k/kappa and kd = kappa d,
+    which broadcast against each other (scalars or arrays): kd = 0 is the transparent
+    limit (r = 0, t = 1) and kd = inf a threshold (t = 0).
 
-    k_out, kappa and d broadcast against each other (scalars or arrays).
-    Returns (F1, F2, r, t) with t referenced to the exit face. Shared by the
-    quantum barrier and the optical-gap transfer.
+    Returns (F1, F2, r, t) with t referenced to the exit face. Shared by the quantum
+    barrier, the threshold and the optical-gap transfer.
     """
-    q, s, p, m, det = _slab_system(k_out, kappa, d)
+    q, s, p, m, det = _slab_system(kh, kd)
     # Interior field G1 e^{-kappa x} + G2 e^{kappa (x - d)}: F1 = G1, F2 = G2 q.
     # Matching at x = 0 and x = d with r and t eliminated leaves a system with
     # bounded entries, so no e^{+kappa d} is formed:
-    #     [[-p q, m], [-m, p q]] @ [G1, G2] = [0, 2ik]
+    #     [[-p q, m], [-m, p q]] @ [G1, G2] = [0, 2i kh]
     # r = G1 + q G2 - 1 and t = q G1 + G2 are reduced to single products, which
     # avoids their cancellation in thin slabs and at k >> kappa.
-    G1 = -2j * k_out * m / det
-    G2 = -2j * k_out * p * q / det
-    return G1, G2 * q, -p * m * s / det, -4j * k_out * kappa * q / det
+    G1 = -2j * kh * m / det
+    G2 = -2j * kh * p * q / det
+    return G1, G2 * q, -p * m * s / det, -4j * kh * q / det
 
 
-def _phase_rate(k_out, kappa, d, dk, dkappa):
-    """d(arg t)/dlambda for wavenumbers with derivatives dk = dk_out/dlambda,
-    dkappa = dkappa/dlambda. t e^{kappa d} = -4ik kappa / det with k kappa > 0,
-    so arg t = -arg det + const and the rate is -Im(det'/det), with
-    det' = -4i(k' kappa + k kappa') + 2p p' s + 2d kappa' (p q)^2, finite where
-    t underflows."""
-    q, s, p, _, det = _slab_system(k_out, kappa, d)
-    ddet = (-4j * (dk * kappa + k_out * dkappa) + 2.0 * p * (dkappa + 1j * dk) * s
-            + 2.0 * d * dkappa * (p * q) ** 2)
+def _phase_rate(kh, kd, dkh, dkd):
+    """d(arg t)/dlambda for kh = k/kappa and kd = kappa d with derivatives
+    dkh = dkh/dlambda and dkd = dkd/dlambda. t = -4i kh q / det with kh, q > 0, so
+    arg t = -arg det + const and the rate is -Im(det'/det), with
+    det' = (-4i + 2i p s) dkh + 2 p^2 q^2 dkd, finite where t underflows. Where q is 0
+    the kd term is 0, whatever dkd is (inf included)."""
+    q, s, p, _, det = _slab_system(kh, kd)
+    ddet = (-4j + 2j * p * s) * dkh + 2.0 * p * p * (q * q) * np.where(q > 0, dkd, 0.0)
     return -(ddet / det).imag
 
 
@@ -176,11 +162,10 @@ def barrier_solution(
 ) -> StationarySolution:
     """Tunneling through a rectangular barrier via interface matching, at a
     scalar energy or an array of energies 0 < E < U0."""
-    k, kappa = _wavenumbers(E, spec.height_U0, spec.mass_m, units)
-    d = spec.width_d
-    F1, F2, r, t = match_evanescent_slab(k, kappa, d)
+    k, kappa, kh, kd = _wavenumbers(E, spec.height_U0, spec.mass_m, spec.width_d, units)
+    F1, F2, r, t = match_evanescent_slab(kh, kd)
     return StationarySolution(
-        energy_E=E, k=k, kappa=kappa, F1=F1, F2=F2, r=r, t=t, width_d=d,
+        energy_E=E, k=k, kappa=kappa, F1=F1, F2=F2, r=r, t=t, width_d=spec.width_d,
         mass_m=spec.mass_m,
     )
 
@@ -197,7 +182,7 @@ def probability_flux(
     hbar, m = units.hbar, sol.mass_m
     in_interior = (x >= 0) if sol.width_d is None else (0 <= x <= sol.width_d)
     if in_interior:
-        return 2.0 * (hbar / m) * sol.kappa * (sol.F1.conjugate() * sol.F2).imag
+        return 2.0 * (hbar * sol.kappa / m) * (sol.F1.conjugate() * sol.F2).imag
     if x < 0:
         return (hbar * sol.k / m) * (1.0 - abs(sol.r) ** 2)
     return (hbar * sol.k / m) * abs(sol.t) ** 2

@@ -105,12 +105,19 @@ def esposito_special_energy(U0: float) -> float:
 
 
 def phase_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
-    """Group-delay (phase) time hbar d(arg t)/dE, differentiated analytically
-    through the slab determinant with dk/dE = m/(hbar^2 k) and
-    dkappa/dE = -m/(hbar^2 kappa); requires 0 < E < U0."""
-    k, kappa = _wavenumbers(E, spec.height_U0, spec.mass_m, units)
-    rate = spec.mass_m / units.hbar**2
-    return units.hbar * _phase_rate(k, kappa, spec.width_d, rate / k, -rate / kappa)
+    """Group-delay (phase) time hbar d(arg t)/dE = (hbar/U0) d(arg t)/de, e = E/U0,
+    differentiated analytically through the slab determinant in kappa units, with
+    d(k/kappa)/de = 1/(2 (k/kappa) (1 - e)^2), d(kappa d)/de = -kappa d / (2 (1 - e)) and
+    1 - e = (U0 - E)/U0; hbar/U0 enters once, at the end. Requires 0 < E < U0; a phase
+    time that is not a double raises, naming E, U0 and m."""
+    U0, m = spec.height_U0, spec.mass_m
+    _, _, kh, kd = _wavenumbers(E, U0, m, spec.width_d, units)
+    gap = (U0 - E) / U0
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        tau = units.hbar / U0 * _phase_rate(kh, kd, 0.5 / (kh * gap * gap), -0.5 * kd / gap)
+    _require_all(abs(tau) < math.inf, E,
+                 f"the phase time is not a double at E={{}}, U0={U0}, m={m}")
+    return tau
 
 
 def dwell_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
@@ -133,8 +140,8 @@ def dwell_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
 def dwell_time_quadrature(
     E: float, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS
 ) -> float:
-    """Independent dwell-time route: direct quadrature of |psi|^2 in the barrier, where
-    psi is the interior field of StationarySolution.psi."""
+    """Independent dwell-time route: direct quadrature of |psi|^2 over the barrier's
+    interior field."""
     sol = barrier_solution(E, spec, units)
     j_in = units.hbar * sol.k / spec.mass_m
     d = spec.width_d

@@ -135,6 +135,27 @@ class TestGroupDelay:
                 )
                 assert gap_group_delay(spec, omega) == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("kd", [15.0, 30.0, 60.0, 300.0])
+    def test_opaque_gap_matches_closed_form(self, kd):
+        # Past kappa d ~ 15 the delay is below eps times the omega-derivative of the
+        # wavenumbers; k1/kappa_x does not depend on omega, so only the kappa d term is
+        # formed, and the delay keeps its digits as it falls off like e^{-2 kappa d}.
+        n, theta, omega = 1.7, 1.3, 4.0
+        alpha = math.sqrt((n * math.sin(theta)) ** 2 - 1.0)
+        k_over_omega = n * math.cos(theta)
+        rho = (k_over_omega**2 - alpha**2) / (2.0 * k_over_omega * alpha)
+        oracle = (kd / omega) * rho / (rho**2 * math.sinh(kd) ** 2 + math.cosh(kd) ** 2)
+        spec = GapSpec(n, theta, kd / (alpha * omega))
+        assert gap_group_delay(spec, omega) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_thin_gap_delay_at_vanishing_frequency(self):
+        # kappa_x d underflows to 0 at omega = 5e-324; the delay's thin-gap limit
+        # (alpha d / c) rho does not.
+        alpha = glass_alpha()
+        rho = (1.5**2 * 0.5 - alpha**2) / (2.0 * math.sqrt(1.5**2 * 0.5) * alpha)
+        for omega in (1e-300, 5e-324):
+            assert gap_group_delay(N45, omega) == pytest.approx(alpha * rho, rel=1e-12, abs=0.0)
+
     def test_delay_decays_with_opacity(self):
         # The model is scale invariant (both wavenumbers are proportional to
         # omega), so the transmission phase saturates and the group delay

@@ -1,6 +1,7 @@
 """Tests for stationary barrier/threshold solutions and flux."""
 
 import cmath
+import decimal
 import math
 import re
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from evlab.numcore import NATURAL_UNITS, UnitSystem
 from evlab.stationary import (
     BarrierSpec,
+    _slab_field,
     barrier_solution,
     match_evanescent_slab,
     probability_flux,
@@ -27,6 +29,42 @@ def closed_form_t(E, U0, d, m=1.0, hbar=1.0):
     return 2j * k * kap / (
         2j * k * kap * math.cosh(kap * d) + (k * k - kap * kap) * math.sinh(kap * d)
     )
+
+
+def psi(sol, x):
+    """The stationary wavefunction of a scalar-energy solution at position(s) x, pieced
+    together from its fields: exp(ikx) + r exp(-ikx) before the barrier, the library's
+    interior field inside it, and t exp(ik (x - d)) past it (F1 exp(-kappa x) past a
+    threshold)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    left = x < 0
+    out[left] = np.exp(1j * sol.k * x[left]) + sol.r * np.exp(-1j * sol.k * x[left])
+    if sol.width_d is None:
+        inside = ~left
+        out[inside] = sol.F1 * np.exp(-sol.kappa * x[inside])
+    else:
+        inside = (~left) & (x <= sol.width_d)
+        out[inside] = _slab_field(sol.F1, sol.t, sol.kappa, sol.width_d, x[inside])
+        beyond = x > sol.width_d
+        out[beyond] = sol.t * np.exp(1j * sol.k * (x[beyond] - sol.width_d))
+    return out if out.shape else complex(out)
+
+
+def decimal_transmission(E, U0, d, m=1.0):
+    """T = 1 / (1 + (1 + kh^2)^2 sinh^2(kappa d) / (4 kh^2)) at 50 digits (hbar = 1), with
+    kh^2 = E / (U0 - E) and kappa d = sqrt(2 m (U0 - E)) d from the doubles given; 0 past
+    kappa d = 1000, where T < e^-2000."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        E, U0, d, m = (decimal.Decimal(v) for v in (E, U0, d, m))
+        kh2 = E / (U0 - E)
+        x = (2 * m * (U0 - E)).sqrt() * d
+        if x > 1000:
+            return 0.0
+        small = x < decimal.Decimal("1e-12")
+        sinh = x * (1 + x * x / 6) if small else (x.exp() - (-x).exp()) / 2
+        return float(1 / (1 + (1 + kh2) ** 2 * sinh**2 / (4 * kh2)))
 
 
 class TestBarrierSolution:
@@ -63,8 +101,8 @@ class TestBarrierSolution:
         sol = barrier_solution(0.6, BarrierSpec(1.5, 1.2))
         eps = 1e-9
         for x0 in (0.0, 1.2):
-            left = sol.psi(x0 - eps)
-            right = sol.psi(x0 + eps)
+            left = psi(sol, x0 - eps)
+            right = psi(sol, x0 + eps)
             assert left == pytest.approx(right, abs=1e-7)
 
     def test_psi_at_exit_face_is_t(self):
@@ -72,15 +110,15 @@ class TestBarrierSolution:
         # the exit face, so psi(d) = t even where F2 ~ e^{-2 kappa d} underflows.
         for E, U0, d in [(0.6, 1.5, 1.2), (0.5, 2.0, 400.0), (1.0, 2.0, 800.0)]:
             sol = barrier_solution(E, BarrierSpec(U0, d))
-            assert sol.psi(d) == pytest.approx(sol.t, rel=1e-12, abs=0.0)
+            assert psi(sol, d) == pytest.approx(sol.t, rel=1e-12, abs=0.0)
         opaque = barrier_solution(1.0, BarrierSpec(2.0, 800.0))
-        assert opaque.psi(800.0) == opaque.t
+        assert psi(opaque, 800.0) == opaque.t
 
     def test_opaque_barrier_stays_finite_and_unitary(self):
         # kappa d = 1131: exp(kappa d) would overflow.
         spec = BarrierSpec(2.0, 800.0)
         sol = barrier_solution(1.0, spec)
-        values = [sol.F1, sol.F2, sol.r, sol.t, *sol.psi(np.linspace(-1.0, 801.0, 9))]
+        values = [sol.F1, sol.F2, sol.r, sol.t, *psi(sol, np.linspace(-1.0, 801.0, 9))]
         assert all(cmath.isfinite(v) for v in values)
         assert abs(sol.transmission + sol.reflection - 1.0) < 1e-12
 
@@ -100,36 +138,43 @@ class TestBarrierSolution:
         with pytest.raises(ValueError):
             threshold_solution(math.nan, 2.0)
 
-    @pytest.mark.parametrize("U0, m, E, named", [
-        (1e300, 1e300, 5e299, "E=5e+299"),  # 2 m E overflows: k = inf
-        (1.0, 1e-160, np.array([0.5, 1e-170, 1e-180]), "E=1e-170"),  # the first such entry
-        (1e-300, 1e-300, 5e-301, "E=5e-301"),  # 2 m E underflows: k = 0
-        (1.0, 1e-310, np.array([0.5, 1.0 - 2.0**-53]), "E=0.9999999999999999"),  # kappa = 0
-    ])
-    def test_wavenumber_outside_doubles_names_E_U0_and_m(self, U0, m, E, named):
-        message = re.escape(f"k and kappa must be positive and finite, got {named}, U0={U0}, m={m}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                barrier_solution(E, BarrierSpec(U0, 1.0, m))
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                threshold_solution(E, U0, m)
-
     @pytest.mark.parametrize("U0, m, E", [
+        (1e300, 1e300, 5e299),  # 2 m E overflows
+        (1.0, 1e-160, np.array([0.5, 1e-170, 1e-180])),  # 2 m E underflows at 1e-180
+        (1e-300, 1e-300, 5e-301),  # 2 m E underflows
+        (1.0, 1e-310, np.array([0.5, 1.0 - 2.0**-53])),  # 2 m (U0 - E) underflows
         (1e154, 1e154, 5e153),  # 4 k kappa = 4e308 overflows
         (2.0, 2.0**1021, 1.0),  # 4 k kappa = 2^1024
         (2.0, 5e-324, 1.0),  # 4 k kappa is subnormal
         (2.0, 2.0**-1025, 1.0),  # 4 k kappa = 2^-1022 is normal, k^2 + kappa^2 is not
         (1e-200, 1e-120, np.array([2e-201, 5e-201])),  # 4 k kappa ~ 1e-320 at the first E
     ])
-    def test_slab_products_outside_doubles_name_E_U0_and_m(self, U0, m, E):
-        named = f"E={np.ravel(E)[0]}, U0={U0}, m={m}"
-        message = re.escape("4 k kappa and k^2 + kappa^2 must be finite normal doubles, "
-                            f"got {named}")
+    def test_wavenumber_products_outside_doubles_solve(self, U0, m, E):
+        # k and kappa are doubles, but k^2, 4 k kappa or k^2 + kappa^2 is not. No product
+        # of wavenumbers is formed: the amplitudes depend on k/kappa and kappa d alone, so
+        # T meets its 50-digit closed form (0 where kappa d = 1e300, 1 where it is 1e-300).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = barrier_solution(E, BarrierSpec(U0, 1.0, m))
+        expected = [decimal_transmission(e, U0, 1.0, m) for e in np.ravel(E)]
+        assert np.ravel(sol.transmission) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert np.all(abs(sol.transmission + sol.reflection - 1.0) <= 1e-15)
+        values = (sol.k, sol.kappa, sol.F1, sol.F2, sol.r, sol.t, probability_flux(sol, 0.5))
+        assert all(np.isfinite(v).all() for v in values)
+
+    @pytest.mark.parametrize("U0, m, E, hbar, named", [
+        (1e300, 1e300, 5e299, 1e-34, "E=5e+299"),  # k = 1e334
+        (1e-300, 1e-300, 5e-301, 1e30, "E=5e-301"),  # k = 1e-330
+    ])
+    def test_wavenumber_outside_doubles_names_E_U0_and_m(self, U0, m, E, hbar, named):
+        message = re.escape(f"k and kappa must be positive and finite, got {named}, U0={U0}, m={m}")
+        units = UnitSystem(hbar=hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
-                barrier_solution(E, BarrierSpec(U0, 1.0, m))
+                barrier_solution(E, BarrierSpec(U0, 1.0, m), units)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                threshold_solution(E, U0, m, units)
 
     @pytest.mark.parametrize("U0, m, E", [
         (2.0, 2.0**1020, 1.0),  # 4 k kappa = 2^1023, the largest power of two
@@ -197,9 +242,9 @@ class TestFlux:
         sol = barrier_solution(0.8, BarrierSpec(1.6, 0.9, 1.2))
         h = 1e-6
         for x in (-2.0, 0.45, 3.0):
-            dpsi = (sol.psi(x + h) - sol.psi(x - h)) / (2.0 * h)
+            dpsi = (psi(sol, x + h) - psi(sol, x - h)) / (2.0 * h)
             # Direct flux (hbar/m) Im(conj(psi) dpsi/dx) at m = 1.2.
-            direct = (1.0 / 1.2) * (complex(sol.psi(x)).conjugate() * dpsi).imag
+            direct = (1.0 / 1.2) * (complex(psi(sol, x)).conjugate() * dpsi).imag
             assert probability_flux(sol, x) == pytest.approx(direct, rel=1e-6)
 
     def test_scales_with_units(self):
@@ -211,14 +256,23 @@ class TestFlux:
 
 class TestMatchEvanescentSlab:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            match_evanescent_slab(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            match_evanescent_slab(1.0, 1.0, 0.0)
+        for kh, kd in ((-1.0, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                       (1.0, -1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                match_evanescent_slab(kh, kd)
+
+    def test_transparent_and_threshold_limits(self):
+        # kappa d = 0: nothing to cross. kappa d = inf: the threshold's total reflection.
+        for kh in (1e-8, 0.3, 1.0, 7.0):
+            F1, F2, r, t = match_evanescent_slab(kh, 0.0)
+            assert (r, t) == (0.0, 1.0)
+            F1, F2, r, t = match_evanescent_slab(kh, math.inf)
+            assert F2 == 0.0 and t == 0.0
+            assert r == pytest.approx((1.0 + 1j * kh) / (1j * kh - 1.0), rel=1e-15)
 
     def test_opaque_limit_kills_growing_wave(self):
         for d in (20.0, 800.0):
-            F1, F2, r, t = match_evanescent_slab(1.0, 1.0, d)
+            F1, F2, r, t = match_evanescent_slab(1.0, d)
             assert abs(F2) < abs(F1) * 1e-15
             assert abs(r) == pytest.approx(1.0, abs=1e-12)
 
@@ -226,9 +280,10 @@ class TestMatchEvanescentSlab:
         k = np.array([0.3, 1.0, 2.5, 1.4142135623730951])
         kappa = np.array([[1.7], [0.2]])
         d = np.array([0.3, 1.7, 10.0, 200.0])
-        batched = match_evanescent_slab(k, kappa, d)
+        kh, kd = k / kappa, kappa * d
+        batched = match_evanescent_slab(kh, kd)
         for i, j in np.ndindex(2, 4):
-            scalar = match_evanescent_slab(float(k[j]), float(kappa[i, 0]), float(d[j]))
+            scalar = match_evanescent_slab(float(kh[i, j]), float(kd[i, j]))
             for b, s in zip(batched, scalar):
                 assert b[i, j] == pytest.approx(s, rel=1e-15, abs=0.0)
 

@@ -21,7 +21,7 @@ from evlab.ttime import (
     report,
     wave_period,
 )
-from test_stationary import closed_form_t
+from test_stationary import closed_form_t, psi
 
 
 def buttiker_phase_time(E, U0, d):
@@ -44,6 +44,31 @@ def buttiker_dwell_time(E, U0, d, m=1.0):
     return (m * k / kap) * (
         2.0 * kd * (kap * kap - k * k) + k02 * math.sinh(2.0 * kd)
     ) / (4.0 * k * k * kap * kap + k02 * k02 * math.sinh(kd) ** 2)
+
+
+def buttiker_times_over_transit(kh2, kd):
+    """Buttiker's phase and dwell times (the two forms above) in units of the transit time
+    d/v, v = hbar k / m: functions of kh2 = (k/kappa)^2 and kd = kappa d alone. Numerators
+    and denominators are taken times 4 e^{-2 kappa d}, so the forms hold from kappa d -> 0
+    to kappa d = inf."""
+    q2, s2, s4 = math.exp(-2.0 * kd), -math.expm1(-2.0 * kd), -math.expm1(-4.0 * kd)
+    k02 = 1.0 + kh2
+    denom = kd * (16.0 * q2 * kh2 + k02 * k02 * s2 * s2)
+    phase = (8.0 * q2 * kd * kh2 * (1.0 - kh2) + 2.0 * k02 * k02 * s4) / denom
+    dwell = kh2 * (8.0 * q2 * kd * (1.0 - kh2) + 2.0 * k02 * s4) / denom
+    return phase, dwell
+
+
+def transit_time(E, spec):
+    """d / v with v = hbar k / m = sqrt(2) sqrt(E) / sqrt(m) (hbar = 1)."""
+    return spec.width_d / (math.sqrt(2.0) * math.sqrt(E) / math.sqrt(spec.mass_m))
+
+
+def log_over_transit(tau, E, spec):
+    """log(tau / (d/v)) for tau > 0, taken in logarithms so that no product leaves the
+    doubles at any scale."""
+    return math.log(tau) + 0.5 * (math.log(2.0) + math.log(E) - math.log(spec.mass_m)) \
+        - math.log(spec.width_d)
 
 
 class TestClosedForms:
@@ -190,6 +215,32 @@ class TestPhaseTime:
         with pytest.raises(ValueError):
             phase_time(2.5, spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sign_and_value_at_every_scale(self):
+        # From U0 = 1e-250 down, p^2 s of the determinant in physical units underflows
+        # beside -4ik kappa and would flip the phase time's sign. In kappa units
+        # kappa d = 1.4e-126 is a normal double, and phase time / (d/v) is the thin-barrier
+        # value (3 + kappa^2/k^2)/2 = 1.50505 from U0 = 1e-50 down to 1e-290.
+        readings = []
+        for U0 in (float(f"1e-{p}") for p in range(50, 291, 20)):
+            spec = BarrierSpec(U0, 1.0)
+            E = 0.99 * U0
+            tau = phase_time(E, spec)
+            assert tau > 0
+            readings.append(tau / transit_time(E, spec))
+            kd = math.sqrt(2.0) * math.sqrt(U0 - E)
+            expected = buttiker_times_over_transit(E / (U0 - E), kd)[0]
+            assert readings[-1] == pytest.approx(expected, rel=1e-12)
+        assert readings == pytest.approx([readings[0]] * len(readings), rel=1e-12)
+        assert readings[0] == pytest.approx(1.505051, abs=1e-6)
+
+    def test_phase_time_past_the_doubles_is_named(self):
+        # hbar/U0 overflows at U0 = 1e-323: the phase time is refused, E, U0 and m named.
+        for E in (5e-324, np.array([5e-324])):
+            with pytest.raises(ValueError, match=r"^the phase time is not a double at "
+                               r"E=5e-324, U0=1e-323, m=1\.0$"):
+                phase_time(E, BarrierSpec(1e-323, 1.0))
+
 
 class TestDwellTime:
     def test_closed_form_matches_quadrature(self):
@@ -220,20 +271,43 @@ class TestDwellTime:
             assert td == pytest.approx(limit, rel=1e-9)
 
     def test_quadrature_integrand_is_psi_bitwise(self):
-        # The quadrature integrates the interior field of StationarySolution.psi.
+        # The quadrature integrates the interior field of the stationary wavefunction.
         rng = np.random.default_rng(31)
         for _ in range(60):
             U0, d = rng.uniform(0.1, 10.0), rng.uniform(0.01, 20.0)
             E = U0 * rng.uniform(0.01, 0.99)
             spec = BarrierSpec(U0, d, rng.uniform(0.5, 2.0))
             sol = barrier_solution(E, spec)
-            stored = integrate(lambda x: abs(sol.psi(x)) ** 2, 0.0, d, 1e-12)
+            stored = integrate(lambda x: abs(psi(sol, x)) ** 2, 0.0, d, 1e-12)
             assert dwell_time_quadrature(E, spec) == stored / (sol.k / spec.mass_m)
 
     def test_positive_and_below_phase_time_when_opaque(self):
         spec = BarrierSpec(2.0, 8.0)
         td = dwell_time(1.0, spec)
         assert 0.0 < td < phase_time(1.0, spec)
+
+
+class TestScaleFree:
+    def test_unitarity_and_phase_time_over_300_decades(self):
+        # U0, m and d log-uniform over [1e-150, 1e150], E/U0 over [1e-140, 0.999]. Under
+        # (U0, m) -> (lambda U0, m / lambda) at fixed E/U0, k and kappa are unchanged, v
+        # scales by lambda and the phase time by 1/lambda: phase time / (d/v) is unchanged.
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            U0, m, d = 10.0 ** rng.uniform(-150.0, 150.0, 3)
+            e = 10.0 ** rng.uniform(-140.0, math.log10(0.999))
+            lam = 10.0 ** rng.uniform(-8.0, 8.0)
+            logs = []
+            for spec in (BarrierSpec(U0, d, m), BarrierSpec(lam * U0, d, m / lam)):
+                E = spec.height_U0 * e
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    sol = barrier_solution(E, spec)
+                    tau = phase_time(E, spec)
+                assert abs(sol.transmission + sol.reflection - 1.0) <= 1e-12
+                assert tau > 0
+                logs.append(log_over_transit(tau, E, spec))
+            assert abs(logs[1] - logs[0]) <= 1e-12  # rel 1e-12 in the ratio itself
 
 
 class TestReport:
