@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, _require_all
-from .stationary import _phase_rate, _slab_field, match_evanescent_slab
+from .stationary import _phase_rate, _slab_field, _slab_system, match_evanescent_slab
 
 
 BAND_LEAK_TOL = 1e-6  # largest energy fraction transmit_pulse accepts at omega <= 0
@@ -138,7 +138,8 @@ def gap_group_delay(
     decay, kh, kd = _gap_units(omega0, spec, units)
     if spec.gap_d == 0.0:
         return 0.0  # identity transfer: t = 1 at every frequency
-    return float(_phase_rate(kh, kd, 0.0, decay["alpha"] * spec.gap_d / units.c))
+    return float(_phase_rate(_slab_system(kh, kd), 0.0,
+                             decay["alpha"] * spec.gap_d / units.c))
 
 
 def goos_hanchen_estimate(kappa_x: float) -> float:

@@ -127,7 +127,12 @@ def match_evanescent_slab(kh, kd):
     Returns (F1, F2, r, t) with t referenced to the exit face. Shared by the quantum
     barrier, the threshold and the optical-gap transfer.
     """
-    q, s, p, m, det = _slab_system(kh, kd)
+    return _slab_amplitudes(kh, _slab_system(kh, kd))
+
+
+def _slab_amplitudes(kh, system):
+    """(F1, F2, r, t) from kh = k/kappa and _slab_system's terms at kh."""
+    q, s, p, m, det = system
     # Interior field G1 e^{-kappa x} + G2 e^{kappa (x - d)}: F1 = G1, F2 = G2 q.
     # Matching at x = 0 and x = d with r and t eliminated leaves a system with
     # bounded entries, so no e^{+kappa d} is formed:
@@ -139,13 +144,13 @@ def match_evanescent_slab(kh, kd):
     return G1, G2 * q, -p * m * s / det, -4j * kh * q / det
 
 
-def _phase_rate(kh, kd, dkh, dkd):
-    """d(arg t)/dlambda for kh = k/kappa and kd = kappa d with derivatives
+def _phase_rate(system, dkh, dkd):
+    """d(arg t)/dlambda for the slab system = _slab_system(kh, kd) with derivatives
     dkh = dkh/dlambda and dkd = dkd/dlambda. t = -4i kh q / det with kh, q > 0, so
     arg t = -arg det + const and the rate is -Im(det'/det), with
     det' = (-4i + 2i p s) dkh + 2 p^2 q^2 dkd, finite where t underflows. Where q is 0
     the kd term is 0, whatever dkd is (inf included)."""
-    q, s, p, _, det = _slab_system(kh, kd)
+    q, s, p, _, det = system
     ddet = (-4j + 2j * p * s) * dkh + 2.0 * p * p * (q * q) * np.where(q > 0, dkd, 0.0)
     return -(ddet / det).imag
 

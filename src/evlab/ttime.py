@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import NATURAL_UNITS, UnitSystem, _require_all, integrate
-from .stationary import BarrierSpec, _phase_rate, _slab_field, _wavenumbers, barrier_solution
+from .stationary import (BarrierSpec, _phase_rate, _slab_amplitudes, _slab_field, _slab_system,
+                         _wavenumbers, barrier_solution)
 
 
 class PathologicalRegimeError(ValueError):
@@ -104,37 +105,52 @@ def esposito_special_energy(U0: float) -> float:
     return four_pi2 / (1.0 + four_pi2) * U0
 
 
-def phase_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
-    """Group-delay (phase) time hbar d(arg t)/dE = (hbar/U0) d(arg t)/de, e = E/U0,
-    differentiated analytically through the slab determinant in kappa units, with
-    d(k/kappa)/de = 1/(2 (k/kappa) (1 - e)^2), d(kappa d)/de = -kappa d / (2 (1 - e)) and
-    1 - e = (U0 - E)/U0; hbar/U0 enters once, at the end. Requires 0 < E < U0; a phase
-    time that is not a double raises, naming E, U0 and m."""
+def _solve(E, spec: BarrierSpec, units: UnitSystem):
+    """The one slab solve the phase and dwell times read at energies 0 < E < U0:
+    k, kappa, k/kappa, kappa d and _slab_system's terms."""
+    k, kappa, kh, kd = _wavenumbers(E, spec.height_U0, spec.mass_m, spec.width_d, units)
+    return k, kappa, kh, kd, _slab_system(kh, kd)
+
+
+def _phase_time(E, spec: BarrierSpec, units: UnitSystem, slab):
+    _, _, kh, kd, system = slab
     U0, m = spec.height_U0, spec.mass_m
-    _, _, kh, kd = _wavenumbers(E, U0, m, spec.width_d, units)
     gap = (U0 - E) / U0
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
-        tau = units.hbar / U0 * _phase_rate(kh, kd, 0.5 / (kh * gap * gap), -0.5 * kd / gap)
+        tau = units.hbar / U0 * _phase_rate(system, 0.5 / (kh * gap * gap), -0.5 * kd / gap)
     _require_all(abs(tau) < math.inf, E,
                  f"the phase time is not a double at E={{}}, U0={U0}, m={m}")
     return tau
 
 
-def dwell_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
-    """Dwell time: probability stored in the barrier over the incident flux."""
-    sol = barrier_solution(E, spec, units)
-    j_in = units.hbar * sol.k / spec.mass_m
-    kappa, d = sol.kappa, spec.width_d
-    F1, F2 = sol.F1, sol.F2
+def _dwell_time(spec: BarrierSpec, units: UnitSystem, slab):
+    k, kappa, kh, _, system = slab
+    F1, F2, _, t = _slab_amplitudes(kh, system)
+    j_in = units.hbar * k / spec.mass_m
+    d = spec.width_d
     # Closed-form integral of |F1 e^{-kx} + F2 e^{kx}|^2 over [0, d], with the
     # growing term as |G2|^2 (1 - e^{-2kd}) / 2k, G2 = F2 e^{kd} = t - F1 e^{-kd}.
-    G2 = sol.t - F1 * np.exp(-kappa * d)
+    G2 = t - F1 * np.exp(-kappa * d)
     decay_integral = -np.expm1(-2.0 * kappa * d) / (2.0 * kappa)
     stored = (
         (abs(F1) ** 2 + abs(G2) ** 2) * decay_integral
         + 2.0 * (F1 * F2.conjugate()).real * d
     )
     return stored / j_in
+
+
+def phase_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
+    """Group-delay (phase) time hbar d(arg t)/dE = (hbar/U0) d(arg t)/de, e = E/U0,
+    differentiated analytically through the slab determinant in kappa units, with
+    d(k/kappa)/de = 1/(2 (k/kappa) (1 - e)^2), d(kappa d)/de = -kappa d / (2 (1 - e)) and
+    1 - e = (U0 - E)/U0; hbar/U0 enters once, at the end. Requires 0 < E < U0; a phase
+    time that is not a double raises, naming E, U0 and m."""
+    return _phase_time(E, spec, units, _solve(E, spec, units))
+
+
+def dwell_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
+    """Dwell time: probability stored in the barrier over the incident flux."""
+    return _dwell_time(spec, units, _solve(E, spec, units))
 
 
 def dwell_time_quadrature(
@@ -165,11 +181,14 @@ def report(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS) -> Tunneling
         out[below] = values
         return out[()]
 
+    tau = scatter(esposito_time(tunneling, spec.height_U0, units))
+    factor = scatter(esposito_factor(tunneling, spec.height_U0))
+    slab = _solve(tunneling, spec, units)  # one solve for both slab times
     return TunnelingTimeReport(
         energy_E=E,
         period_T=period,
-        esposito_tau=scatter(esposito_time(tunneling, spec.height_U0, units)),
-        factor_A=scatter(esposito_factor(tunneling, spec.height_U0)),
-        phase_time=scatter(phase_time(tunneling, spec, units)),
-        dwell_time=scatter(dwell_time(tunneling, spec, units)),
+        esposito_tau=tau,
+        factor_A=factor,
+        phase_time=scatter(_phase_time(tunneling, spec, units, slab)),
+        dwell_time=scatter(_dwell_time(spec, units, slab)),
     )

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from evlab import stationary, ttime
 from evlab.numcore import integrate
 from evlab.stationary import BarrierSpec, barrier_solution
 from evlab.ttime import (
@@ -337,6 +338,32 @@ class TestReport:
                 assert math.isnan(got) == math.isnan(want) == (e >= 2.0 and name != "period_T")
                 if not math.isnan(want):
                     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_one_slab_solve_for_phase_and_dwell(self, monkeypatch):
+        calls = {"_wavenumbers": 0, "_slab_system": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name, getattr(stationary, name))
+            for module in (stationary, ttime):
+                monkeypatch.setattr(module, name, wrapped)
+        report(np.linspace(0.1, 2.5, 9), BarrierSpec(2.0, 1.3, 0.7))
+        assert calls == {"_wavenumbers": 1, "_slab_system": 1}
+
+    def test_times_bitwise_equal_to_phase_and_dwell_time_alone(self):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            U0, m, d = 10.0 ** rng.uniform(-50.0, 50.0, 3)
+            spec = BarrierSpec(U0, d, m)
+            E = U0 * rng.uniform(0.001, 0.999, 4)
+            rep = report(E, spec)
+            assert np.array_equal(rep.phase_time, phase_time(E, spec))
+            assert np.array_equal(rep.dwell_time, dwell_time(E, spec))
 
     def test_nan_and_nonpositive_energies_raise(self):
         spec = BarrierSpec(2.0, 1.0)
