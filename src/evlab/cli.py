@@ -83,7 +83,7 @@ class OutputWriter:
 
     def __init__(self, args):
         out = os.environ.get("EVLAB_OUTPUT_DIR") or args.output_dir
-        # Made at the first file write, so a run that fails before it leaves no directory.
+        # Made by finish, so a run that fails before its end leaves no directory.
         self.directory = Path(out)
         self.format = args.format
         self.force = args.force
@@ -91,6 +91,7 @@ class OutputWriter:
         self.inputs = {k: v for k, v in vars(args).items() if k not in NOT_INPUTS}
         self.outputs = {}
         self.warnings = []
+        self.tables = {}  # path -> the table's bytes, written by finish
         # The summary doubles as the run manifest, so every run writes it; a
         # run that would overwrite it is refused before it writes anything.
         self.summary_path = self._target(f"{self.command}_summary.json")
@@ -102,7 +103,8 @@ class OutputWriter:
         return path
 
     def write_csv(self, name: str, header: list, rows):
-        """Write `rows` (a 2-D float array, or lists of numbers and text)."""
+        """Write `rows` (a 2-D float array, or lists of numbers and text) at finish; an
+        existing file is refused now."""
         text = _table_text(rows)
         if self.format == "json":
             # Tables still land in the summary so a json-only run loses nothing.
@@ -112,8 +114,7 @@ class OutputWriter:
             }
             return None
         path = self._target(name)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(",".join(header).encode() + b"\n" + text)
+        self.tables[path] = ",".join(header).encode() + b"\n" + text
         self.outputs[name.removesuffix(".csv")] = {"file": name, "columns": header}
         return path
 
@@ -132,9 +133,26 @@ class OutputWriter:
         }
         # NaN and inf are not JSON: a run that produced them fails (exit 1).
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        # Every check has passed: the tables, then the summary that names them.
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.summary_path.write_text(text + "\n")
+        for path, data in self.tables.items():
+            self._write(path, data)
+        self._write(self.summary_path, (text + "\n").encode())
         return self.summary_path
+
+    def _write(self, path: Path, data: bytes):
+        """Create path (replace it under --force) holding data, with open()'s mode."""
+        flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if self.force else os.O_EXCL)
+        try:
+            fd = os.open(path, flags, 0o666)
+        except FileExistsError:  # made since _target checked it
+            raise CliError(f"refusing to overwrite existing file {path} (use --force)") from None
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
 
 
 def cmd_stationary(args, out: OutputWriter):
@@ -223,6 +241,12 @@ def cmd_ftir(args, out: OutputWriter):
             raise ValueError(f"{exc}, got theta_deg={args.theta_deg}") from None
     if args.report_alpha:
         decay = ftir.gap_decay(args.n, theta, args.omega, units)
+        kappa_x = decay["kappa_x"]
+        # alpha omega / c can round to 0, or to a subnormal whose inverse overflows.
+        if not (0 < kappa_x and 1.0 / kappa_x < math.inf and decay["k_parallel"] < math.inf):
+            raise ValueError("kappa_x = alpha omega / c, its inverse D and k_parallel must be "
+                             f"positive doubles, got omega={args.omega}, n={args.n}, "
+                             f"theta_deg={args.theta_deg}")
         out.add_result("alpha", decay["alpha"])
         out.add_result("kappa_x", decay["kappa_x"])
         out.add_result("k_parallel", decay["k_parallel"])
@@ -467,10 +491,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+@functools.cache
+def _subparsers() -> dict:
+    """Each subcommand's name and its parser, from build_parser's one parser."""
     parser = build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the same namespace, output and exit, in one
+    pass where argv starts with a subcommand: its own parser reads the rest, and the main
+    parser reports what is left over, as parse_args does."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is None:
+        return build_parser().parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def run(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

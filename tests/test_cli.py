@@ -137,12 +137,14 @@ SCALE_ANSWER_CASES = [
 ]
 
 # Inputs that are refused after the library has run: a negative or NaN rest mass, an
-# infinite fraction. The option is named, and no table is left behind.
+# infinite fraction, an infinite width (refused by finish, after the table is formed).
+# The option is named, and no table is left behind.
 LATE_REFUSAL_CASES = [
     *[(["stationary", "--u0", "2", "--e", "1", "--m0", m0], f"m0={float(m0)}")
       for m0 in ("-1e-300", "-1e-150", "-1e150", "-1e300", "nan")],
     (["ttime", "--u0", "2", "--e", "inf"], "e must be finite, got e=inf"),
     (["ttime", "--u0", "2", "--e", "-inf"], "e must be finite, got e=-inf"),
+    (["stationary", "--u0", "2", "--e", "1", "--d", "inf"], "d must be finite, got d=inf"),
 ]
 
 # ttime fractions whose energy E = U0 e overflows, or underflows to 0 from a nonzero
@@ -303,6 +305,21 @@ class TestExitCodes:
             assert invoke(argv + ["--output-dir", "z"], tmp_path, monkeypatch) == 1
         assert not (tmp_path / "z").exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--omega", "5e-324"],  # kappa_x = alpha omega rounds to 0
+        ["--omega", "1e-309"],  # 1 / kappa_x overflows
+        ["--omega", "1e308", "--n", "10"],  # k_parallel = omega n sin(theta) overflows
+    ])
+    def test_report_alpha_names_omega_n_and_theta(self, tmp_path, monkeypatch, capsys, argv):
+        argv = ["ftir", "--report-alpha", *argv, "--output-dir", "z"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(argv, tmp_path, monkeypatch) == 1
+        out, err = capsys.readouterr()
+        n = "10.0" if "--n" in argv else "1.5"
+        assert f"got omega={float(argv[3])}, n={n}, theta_deg=45.0" in err
+        assert out == "" and not (tmp_path / "z").exists()
 
     def test_nan_result_never_reaches_summary(self, tmp_path):
         out = cli.OutputWriter(argparse.Namespace(
@@ -817,6 +834,57 @@ class TestCachedState:
             SUMMARY_VALIDATOR.validate(summary)
 
 
+# Argvs that cli.parse_args reads in one pass must give what the main parser's
+# parse_args gives: no argv, help, an unknown subcommand, usage errors of a subcommand's
+# own parser or left over for the main one, and valid runs with an abbreviated option, an
+# "=" value and a negative number.
+PARSE_CASES = [
+    [], ["--help"], ["stationary", "--help"], ["bogus", "--u0", "2"],
+    ["stationary", "--u0", "2", "--bogus"], ["stationary", "--u0", "two", "--e", "1"],
+    ["stationary", "--u0", "2", "--e", "1", "--units", "x"], ["spectrum", "--lorentz", "1"],
+    ["stationary", "--e", "1"], ["stationary", "--bogus"],
+    ["stationary", "--u0", "2", "extra", "--e", "1", "--bogus=3", "--", "--u0"],
+    ["tolman", "--thr", "0.1"], ["stationary", "--u0=2", "--e", "1"],
+    ["tolman", "--v-frame", "-1e-05", "--dx-over-dt", "2"],
+]
+
+
+def main_parser_args(argv=None):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("argv", PARSE_CASES)
+    def test_run_as_with_the_main_parser(self, tmp_path, monkeypatch, capsys, argv):
+        results = []
+        for name, parse in (("once", cli.parse_args), ("main", main_parser_args)):
+            monkeypatch.setattr(cli, "parse_args", parse)
+            (tmp_path / name).mkdir()
+            code = invoke(argv, tmp_path / name, monkeypatch)
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            results.append((code, *capsys.readouterr(), files))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("argv", PARSE_CASES)
+    def test_namespace_as_with_the_main_parser(self, capsys, argv):
+        try:
+            expected = vars(main_parser_args(argv))
+        except SystemExit:
+            with pytest.raises(SystemExit):
+                cli.parse_args(argv)
+            return
+        assert vars(cli.parse_args(argv)) == expected
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["evlab", "tolman", "--thr", "0.2"])
+        assert vars(cli.parse_args()) == vars(main_parser_args(["tolman", "--thr", "0.2"]))
+
+    def test_unrecognized_arguments_line(self, tmp_path, monkeypatch, capsys):
+        assert invoke(["stationary", "--u0", "2", "--bogus", "x"], tmp_path, monkeypatch) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("\nevlab: error: unrecognized arguments: --bogus x\n")
+
+
 # Run in a fresh interpreter whose import system refuses scipy and jsonschema: every
 # CLI path, both split-step paths and the reshaping distance run without them.
 IMPORT_BUDGET = """
@@ -874,6 +942,7 @@ class TestRowFormat:
         out = cli.OutputWriter(argparse.Namespace(
             output_dir=str(tmp_path), format=fmt, force=True, command="x"))
         out.write_csv("table.csv", ["a", "b", "c", "d"], rows)
+        out.finish()
         return out.outputs["table"]
 
     def test_floats_match_17_digit_repr(self, tmp_path):
