@@ -124,19 +124,16 @@ def _phase_time(E, spec: BarrierSpec, units: UnitSystem, slab):
 
 
 def _dwell_time(spec: BarrierSpec, units: UnitSystem, slab):
-    k, kappa, kh, _, system = slab
-    F1, F2, _, t = _slab_amplitudes(kh, system)
-    j_in = units.hbar * k / spec.mass_m
-    d = spec.width_d
-    # Closed-form integral of |F1 e^{-kx} + F2 e^{kx}|^2 over [0, d], with the
-    # growing term as |G2|^2 (1 - e^{-2kd}) / 2k, G2 = F2 e^{kd} = t - F1 e^{-kd}.
-    G2 = t - F1 * np.exp(-kappa * d)
-    decay_integral = -np.expm1(-2.0 * kappa * d) / (2.0 * kappa)
-    stored = (
-        (abs(F1) ** 2 + abs(G2) ** 2) * decay_integral
-        + 2.0 * (F1 * F2.conjugate()).real * d
-    )
-    return stored / j_in
+    k, kappa, kh, kd, system = slab
+    q, s = system[:2]
+    F1, _, _, t = _slab_amplitudes(kh, system)
+    # Closed-form integral of |F1 e^{-kx} + G2 e^{k(x - d)}|^2 over [0, d] in kappa units,
+    # G2 = t - F1 e^{-kd}: [(|F1|^2 + |G2|^2) s/2 + 2 Re(F1 conj G2) q kd] / kappa, whose
+    # cross term is 0 where q is (kd = inf included).
+    G2 = t - F1 * q
+    stored = ((abs(F1) ** 2 + abs(G2) ** 2) * s / 2.0
+              + 2.0 * (F1 * G2.conjugate()).real * (q * np.where(q > 0, kd, 0.0))) / kappa
+    return stored / (units.hbar * k / spec.mass_m)
 
 
 def phase_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
@@ -149,7 +146,9 @@ def phase_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
 
 
 def dwell_time(E, spec: BarrierSpec, units: UnitSystem = NATURAL_UNITS):
-    """Dwell time: probability stored in the barrier over the incident flux."""
+    """Dwell time: probability stored in the barrier over the incident flux, the stored
+    probability taken in kappa units and divided by kappa once, so an opaque barrier
+    (kappa d = inf) gives its limit 2 m k / (hbar kappa (k^2 + kappa^2))."""
     return _dwell_time(spec, units, _solve(E, spec, units))
 
 

@@ -145,6 +145,7 @@ LATE_REFUSAL_CASES = [
     (["ttime", "--u0", "2", "--e", "inf"], "e must be finite, got e=inf"),
     (["ttime", "--u0", "2", "--e", "-inf"], "e must be finite, got e=-inf"),
     (["stationary", "--u0", "2", "--e", "1", "--d", "inf"], "d must be finite, got d=inf"),
+    (["ttime", "--u0", "2", "--e", "0.5", "--d", "inf"], "d must be finite, got d=inf"),
 ]
 
 # ttime fractions whose energy E = U0 e overflows, or underflows to 0 from a nonzero
@@ -419,6 +420,20 @@ class TestExitCodes:
         phase, dwell = buttiker_times_over_transit(E / (u0 - E), kd)
         assert row["phase_time"] / transit == pytest.approx(phase, rel=1e-12, abs=0.0)
         assert row["dwell_time"] / transit == pytest.approx(dwell, rel=1e-12, abs=0.0)
+
+    def test_ttime_opaque_si_photon_barrier_is_buttikers_limit(self, tmp_path, monkeypatch):
+        # kappa d = 1.3e334 rounds to inf: phase time 2 m / (hbar k kappa) and dwell time
+        # 2 m k / (hbar kappa (k^2 + kappa^2)), with hbar = 1.054571817e-34 and m = 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["ttime", "--u0", "2", "--e", "0.5", "--units", "si-photon", "--d", "1e300"]
+            assert invoke(argv, tmp_path, monkeypatch) == 0
+        (row,) = load_rows(tmp_path / "ttime.csv")
+        hbar = cli.SI_PHOTON_UNITS.hbar
+        k = kappa = math.sqrt(2.0) / hbar
+        assert row["phase_time"] == pytest.approx(2.0 / (hbar * k * kappa), rel=1e-12)
+        assert row["dwell_time"] == pytest.approx(
+            2.0 * k / (hbar * kappa * (k * k + kappa * kappa)), rel=1e-12)
 
     def test_ttime_phase_time_keeps_its_sign_at_every_scale(self, tmp_path, monkeypatch):
         # At U0 = 1e-250, p^2 s of the determinant in physical units underflows beside

@@ -271,6 +271,23 @@ class TestDwellTime:
             assert td == pytest.approx(dwell_time_quadrature(0.5, spec), rel=1e-9)
             assert td == pytest.approx(limit, rel=1e-9)
 
+    def test_infinite_width_is_the_opaque_limit(self):
+        # kappa d = inf: the cross term 2 Re(F1 conj G2) q kappa d is 0, not 0 * inf.
+        limit = 2.0 / (math.sqrt(3.0) * 4.0)
+        assert dwell_time(0.5, BarrierSpec(2.0, math.inf)) == pytest.approx(limit, rel=1e-15)
+
+    def test_matches_buttiker_over_200_decades(self):
+        # U0, m and d log-uniform over [1e-100, 1e100], E/U0 over [1e-12, 0.999]: dwell
+        # time / (d/v) is Buttiker's function of (k/kappa)^2 and kappa d.
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            U0, m, d = 10.0 ** rng.uniform(-100.0, 100.0, 3)
+            E = U0 * 10.0 ** rng.uniform(-12.0, math.log10(0.999))
+            spec = BarrierSpec(U0, d, m)
+            kd = math.sqrt(2.0) * math.sqrt(m) * math.sqrt(U0 - E) * d
+            _, dwell = buttiker_times_over_transit(E / (U0 - E), kd)
+            assert dwell_time(E, spec) / transit_time(E, spec) == pytest.approx(dwell, rel=1e-12)
+
     def test_quadrature_integrand_is_psi_bitwise(self):
         # The quadrature integrates the interior field of the stationary wavefunction.
         rng = np.random.default_rng(31)
