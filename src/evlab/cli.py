@@ -83,7 +83,7 @@ class OutputWriter:
 
     def __init__(self, args):
         out = os.environ.get("EVLAB_OUTPUT_DIR") or args.output_dir
-        # Made by finish, so a run that fails before its end leaves no directory.
+        # Made by finish (or a snapshot dump), so a run that fails before leaves no directory.
         self.directory = Path(out)
         self.format = args.format
         self.force = args.force

@@ -501,6 +501,14 @@ class TestOutputs:
         assert invoke(args, tmp_path, monkeypatch) == 2
         assert invoke(args + ["--force"], tmp_path, monkeypatch) == 0
 
+    def test_never_writes_through_a_name_that_exists(self, tmp_path, monkeypatch, capsys):
+        # A dangling link passes the check before the run (the path does not exist), but
+        # the file is created exclusively at the end, so nothing is written through it.
+        (tmp_path / "tolman_summary.json").symlink_to(tmp_path / "target")
+        assert invoke(["tolman", "--dx-over-dt", "2"], tmp_path, monkeypatch) == 2
+        assert "refusing to overwrite existing file" in capsys.readouterr().err
+        assert not (tmp_path / "target").exists()
+
     def test_refused_rerun_writes_nothing(self, tmp_path, monkeypatch):
         args = ["propagate", "--steps", "40", "--record-every", "20", "--snapshots",
                 "--format", "json"]
