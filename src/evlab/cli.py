@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -83,7 +84,7 @@ class OutputWriter:
 
     def __init__(self, args):
         out = os.environ.get("EVLAB_OUTPUT_DIR") or args.output_dir
-        # Made by finish (or a snapshot dump), so a run that fails before leaves no directory.
+        # Made by finish, so a run that fails before leaves no directory.
         self.directory = Path(out)
         self.format = args.format
         self.force = args.force
@@ -92,6 +93,7 @@ class OutputWriter:
         self.outputs = {}
         self.warnings = []
         self.tables = {}  # path -> the table's bytes, written by finish
+        self.snapshots = None  # (directory, record indices, each file's bytes), for finish
         # The summary doubles as the run manifest, so every run writes it; a
         # run that would overwrite it is refused before it writes anything.
         self.summary_path = self._target(f"{self.command}_summary.json")
@@ -112,11 +114,10 @@ class OutputWriter:
                 "columns": header,
                 "rows": [line.split(",") for line in text.decode().split("\n")[:-1]],
             }
-            return None
+            return
         path = self._target(name)
         self.tables[path] = ",".join(header).encode() + b"\n" + text
         self.outputs[name.removesuffix(".csv")] = {"file": name, "columns": header}
-        return path
 
     def add_result(self, key: str, value):
         self.outputs[key] = value
@@ -124,6 +125,13 @@ class OutputWriter:
     def finish(self) -> Path:
         # After the run, so an input the run reads is named by the library first.
         _require_finite(self.inputs)
+        directory, files = self.directory, self.tables.items()
+        if self.snapshots:
+            directory, indices, texts = self.snapshots
+            names = [f"snapshot_{i:05d}.csv" for i in indices]
+            self.outputs["snapshots"] = names
+            # Each file's bytes are formatted as it is written, not all at once.
+            files = itertools.chain(files, zip([directory / n for n in names], texts))
         summary = {
             "command": self.command,
             "version": __version__,
@@ -133,11 +141,15 @@ class OutputWriter:
         }
         # NaN and inf are not JSON: a run that produced them fails (exit 1).
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        # Every check has passed: the tables, then the summary that names them.
-        self.directory.mkdir(parents=True, exist_ok=True)
-        for path, data in self.tables.items():
+        # Every check has passed: the directories (the snapshot directory's makes its
+        # parent), the tables, the snapshots, then the summary that names them.
+        directory.mkdir(parents=True, exist_ok=True)
+        # Under --force the run replaces an earlier run's snapshots, not only the files
+        # it rewrites.
+        for stale in directory.glob("snapshot_*.csv") if self.snapshots and self.force else ():
+            stale.unlink()
+        for path, data in itertools.chain(files, [(self.summary_path, (text + "\n").encode())]):
             self._write(path, data)
-        self._write(self.summary_path, (text + "\n").encode())
         return self.summary_path
 
     def _write(self, path: Path, data: bytes):
@@ -351,12 +363,7 @@ def cmd_propagate(args, out: OutputWriter):
             units=units, record_every=args.record_every, keep_every=keep_every,
         )
     if args.snapshots:
-        # Under --force the run replaces an earlier run's snapshots, not only
-        # the files it rewrites.
-        for stale in snapshot_dir.glob("snapshot_*.csv"):
-            stale.unlink()
-        paths = propagate.dump_snapshots_csv(record, snapshot_dir)
-        out.add_result("snapshots", [p.name for p in paths])
+        out.snapshots = snapshot_dir, record.snapshot_indices, propagate.snapshot_csvs(record)
     rows = np.column_stack([record.times, record.front_positions, record.peak_positions])
     out.write_csv("trajectory.csv", ["t", "front_x", "peak_x"], rows)
 

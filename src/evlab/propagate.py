@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -323,11 +322,11 @@ def evolve_schrodinger(
                      keep_every, norm_tol)
 
 
-def dump_snapshots_csv(record: PropagationRecord, directory) -> list:
-    """Write every kept snapshot as CSV: x, re, im and WavePacket.abs2(),
-    %.17g, named by its record index (snapshot_00100.csv is record 100,
-    whatever the record kept). Which fields are kept is the recorder's
-    choice, through keep_every.
+def snapshot_csvs(record: PropagationRecord):
+    """Yield the CSV bytes of every kept snapshot, in record order: x, re, im
+    and WavePacket.abs2(), %.17g. Which fields are kept is the recorder's
+    choice, through keep_every; the i-th is the file of record index
+    record.snapshot_indices[i].
 
     The bytes are those of one %.17g template per file (numcore.format_17g
     writes every value), but no file formats a double it already has as
@@ -337,13 +336,10 @@ def dump_snapshots_csv(record: PropagationRecord, directory) -> list:
     pattern the previous file held taking that file's text (a unit-Courant
     run translates most of its field from one snapshot to the next). Keying
     on bits keeps -0.0 apart from +0.0."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     templates = {}
     # The previous file's distinct bit patterns, sorted, and their text; +0.0 to start.
     known_bits, known_text = np.zeros(1, np.int64), np.array(["0"], dtype=object)
-    paths = []
-    for idx, wp in zip(record.snapshot_indices.tolist(), record.snapshots):
+    for wp in record.snapshots:
         cols = [wp.values.real.view(np.int64), wp.values.imag.view(np.int64),
                 wp.abs2().view(np.int64)]
         real = not cols[1].any()
@@ -357,9 +353,6 @@ def dump_snapshots_csv(record: PropagationRecord, directory) -> list:
         new = known_bits[at] != bits
         text = known_text[at]
         text[new] = format_17g(bits[new].view(np.float64), ["\n"]).decode().split("\n")[:-1]
-        path = directory / f"snapshot_{idx:05d}.csv"
         cells = tuple(text[inverse].tolist())
-        path.write_text("x,re,im,abs2\n" + templates[wp.grid, real] % cells, newline="")
-        paths.append(path)
+        yield ("x,re,im,abs2\n" + templates[wp.grid, real] % cells).encode()
         known_bits, known_text = bits, text
-    return paths

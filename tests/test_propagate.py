@@ -15,9 +15,9 @@ from evlab.propagate import (
     MediumProfile,
     NormDriftError,
     PropagationRecord,
-    dump_snapshots_csv,
     evolve_schrodinger,
     evolve_wave,
+    snapshot_csvs,
     _front,
     _measure,
     _peak,
@@ -233,7 +233,7 @@ def reference_leapfrog(psi0, prev, profile, courant, steps):
 
 def reference_snapshot_text(wp):
     """The text of one snapshot file as one %.17g template over x, re, im and
-    abs2 writes it, the reference dump_snapshots_csv reproduces byte for byte."""
+    abs2 writes it, the reference snapshot_csvs reproduces byte for byte."""
     rows = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
     text = ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
     return "x,re,im,abs2\n" + text
@@ -738,15 +738,15 @@ SNAPSHOT_RECORDS = {
 
 class TestSnapshotDump:
     @pytest.mark.parametrize("name", SNAPSHOT_RECORDS)
-    def test_every_file_is_the_one_template_text(self, tmp_path, name):
+    def test_every_file_is_the_one_template_text(self, name):
         record = SNAPSHOT_RECORDS[name]()
-        paths = dump_snapshots_csv(record, tmp_path)
-        assert len(paths) == len(record.snapshots) > 1
-        for path, wp in zip(paths, record.snapshots):
-            assert path.read_bytes() == reference_snapshot_text(wp).encode()
+        files = list(snapshot_csvs(record))
+        assert len(files) == len(record.snapshots) > 1
+        for data, wp in zip(files, record.snapshots):
+            assert data == reference_snapshot_text(wp).encode()
 
     def test_unit_courant_files_share_most_doubles(self):
-        # The case the writer reuses text in: most of the files' distinct
+        # The case the formatter reuses text in: most of the files' distinct
         # doubles were in the previous file.
         record = SNAPSHOT_RECORDS["unit_courant_barrier"]()
         bits = [np.unique(np.concatenate([wp.values.real, wp.abs2()]).view(np.int64))
@@ -754,17 +754,18 @@ class TestSnapshotDump:
         shared = sum(np.isin(cur, prev).sum() for prev, cur in zip(bits, bits[1:]))
         assert shared > 0.5 * sum(b.size for b in bits[1:])
 
-    def test_single_negative_zero_imaginary_entry_prints(self, tmp_path):
-        paths = dump_snapshots_csv(zero_imaginary_record(), tmp_path)
-        ims = [[row["im"] for row in csv.DictReader(p.read_text().splitlines())] for p in paths]
+    def test_single_negative_zero_imaginary_entry_prints(self):
+        files = snapshot_csvs(zero_imaginary_record())
+        ims = [[row["im"] for row in csv.DictReader(data.decode().splitlines())]
+               for data in files]
         assert ims == [["0"] * 6, ["0", "0", "0", "-0", "0", "0"], ["0"] * 6]
 
-    def test_values_parse_back_exactly(self, tmp_path):
+    def test_values_parse_back_exactly(self):
         grid, record = make_run(kc_val=3.0, steps=30, record_every=10)
-        paths = dump_snapshots_csv(record, tmp_path)
-        assert [p.name for p in paths] == [f"snapshot_{i:05d}.csv" for i in range(4)]
-        for path, wp in zip(paths, record.snapshots):
-            lines = path.read_text().split("\n")
+        files = list(snapshot_csvs(record))
+        assert len(files) == 4
+        for data, wp in zip(files, record.snapshots):
+            lines = data.decode().split("\n")
             assert lines[0] == "x,re,im,abs2" and lines[-1] == ""
             table = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
             np.testing.assert_array_equal(table[:, 0], grid.points())
@@ -773,31 +774,25 @@ class TestSnapshotDump:
             np.testing.assert_array_equal(table[:, 3], wp.abs2())
 
     @pytest.mark.parametrize("keep_every", [1, 2, 3])
-    def test_files_are_named_by_record_index(self, tmp_path, keep_every):
-        # A record keeping every k-th field writes each kept field, under its
-        # record index, with the bytes the full record writes under that name.
+    def test_kept_fields_format_as_in_the_full_record(self, keep_every):
+        # A record keeping every k-th field yields, for each kept field, the
+        # bytes the full record yields for the field of that record index.
         _, full = make_run(kc_val=3.0, steps=30, record_every=2)
         _, sparse = make_run(kc_val=3.0, steps=30, record_every=2, keep_every=keep_every)
-        full_paths = dump_snapshots_csv(full, tmp_path / "full")
-        sparse_paths = dump_snapshots_csv(sparse, tmp_path / "sparse")
-        expected = [f"snapshot_{i:05d}.csv" for i in range(0, 16, keep_every)]
-        assert [p.name for p in sparse_paths] == expected
-        assert sorted(p.name for p in (tmp_path / "sparse").iterdir()) == expected
-        by_name = {p.name: p.read_bytes() for p in full_paths}
-        for path in sparse_paths:
-            assert path.read_bytes() == by_name[path.name]
+        assert sparse.snapshot_indices.tolist() == list(range(0, 16, keep_every))
+        by_index = dict(zip(full.snapshot_indices.tolist(), snapshot_csvs(full)))
+        got = list(snapshot_csvs(sparse))
+        assert got == [by_index[i] for i in sparse.snapshot_indices.tolist()]
 
-    def test_record_keeping_none_writes_no_file(self, tmp_path):
+    def test_record_keeping_none_yields_nothing(self):
         _, record = make_run(steps=10, record_every=5, keep_every=0)
-        assert dump_snapshots_csv(record, tmp_path) == []
-        assert not list(tmp_path.iterdir())
+        assert list(snapshot_csvs(record)) == []
 
-    def test_csv_roundtrip(self, tmp_path):
+    def test_csv_roundtrip(self):
         grid, record = make_run(steps=20, record_every=10, keep_every=2)
-        paths = dump_snapshots_csv(record, tmp_path)
-        assert len(paths) == 2
-        with open(paths[0], newline="") as fh:
-            rows = list(csv.reader(fh))
+        files = list(snapshot_csvs(record))
+        assert len(files) == 2
+        rows = list(csv.reader(files[0].decode().splitlines()))
         assert rows[0] == ["x", "re", "im", "abs2"]
         assert len(rows) == grid.count + 1
         x0 = float(rows[1][0])
