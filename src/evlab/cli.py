@@ -140,16 +140,21 @@ class OutputWriter:
             "warnings": self.warnings,
         }
         # NaN and inf are not JSON: a run that produced them fails (exit 1).
-        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-        # Every check has passed: the directories (the snapshot directory's makes its
-        # parent), the tables, the snapshots, then the summary that names them.
-        directory.mkdir(parents=True, exist_ok=True)
-        # Under --force the run replaces an earlier run's snapshots, not only the files
-        # it rewrites.
-        for stale in directory.glob("snapshot_*.csv") if self.snapshots and self.force else ():
-            stale.unlink()
-        for path, data in itertools.chain(files, [(self.summary_path, (text + "\n").encode())]):
-            self._write(path, data)
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # Every check has passed: the output directory (made with the snapshot directory
+        # in it, if any), the tables, the snapshots, then the summary that names them.
+        # A path the OS refuses is named, as a usage error.
+        path = directory
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            # Under --force the run replaces an earlier run's snapshots, not only the
+            # files it rewrites.
+            for path in directory.glob("snapshot_*.csv") if self.snapshots and self.force else ():
+                path.unlink()
+            for path, data in itertools.chain(files, [(self.summary_path, text.encode())]):
+                self._write(path, data)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc.strerror}") from None
         return self.summary_path
 
     def _write(self, path: Path, data: bytes):

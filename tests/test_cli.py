@@ -137,8 +137,9 @@ SCALE_ANSWER_CASES = [
 ]
 
 # Inputs that are refused after the library has run: a negative or NaN rest mass, an
-# infinite fraction, an infinite width (refused by finish, after the table is formed).
-# The option is named, and no table is left behind.
+# infinite fraction, an infinite width or a wave run's unread dt (refused by finish,
+# after the table is formed and the snapshot fields kept). The option is named, and no
+# table or snapshot is left behind.
 LATE_REFUSAL_CASES = [
     *[(["stationary", "--u0", "2", "--e", "1", "--m0", m0], f"m0={float(m0)}")
       for m0 in ("-1e-300", "-1e-150", "-1e150", "-1e300", "nan")],
@@ -146,6 +147,8 @@ LATE_REFUSAL_CASES = [
     (["ttime", "--u0", "2", "--e", "-inf"], "e must be finite, got e=-inf"),
     (["stationary", "--u0", "2", "--e", "1", "--d", "inf"], "d must be finite, got d=inf"),
     (["ttime", "--u0", "2", "--e", "0.5", "--d", "inf"], "d must be finite, got d=inf"),
+    (["propagate", "--steps", "40", "--record-every", "20", "--snapshots", "--dt", "nan"],
+     "dt must be finite, got dt=nan"),
 ]
 
 # ttime fractions whose energy E = U0 e overflows, or underflows to 0 from a nonzero
@@ -536,6 +539,30 @@ class TestOutputs:
         listed = load_summary(tmp_path, "propagate")["outputs"]["snapshots"]
         assert sorted(p.name for p in (tmp_path / "snapshots").iterdir()) == listed
         assert len(listed) == 3
+        # A forced rerun with another --record-every, refused at finish, deletes and
+        # writes nothing.
+        files = lambda: {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        kept = files()
+        assert invoke(args + ["--record-every", "10", "--force", "--dt", "nan"],
+                      tmp_path, monkeypatch) == 1
+        assert files() == kept
+
+    @pytest.mark.parametrize("argv, blocked, make, reason", [
+        (["stationary", "--u0", "2", "--e", "1", "--output-dir", "taken"], "taken",
+         Path.touch, "File exists"),
+        (["propagate", "--steps", "40", "--record-every", "20", "--snapshots", "--force"],
+         "snapshots", Path.touch, "File exists"),
+        (["stationary", "--u0", "2", "--e", "1", "--force"], "stationary.csv", Path.mkdir,
+         "Is a directory"),
+    ])
+    def test_unwritable_output_path_is_2_and_named(self, tmp_path, monkeypatch, capsys, argv,
+                                                   blocked, make, reason):
+        # A path that cannot take the output (not a permission bit: root ignores those)
+        # is named in one line, and nothing is written.
+        make(tmp_path / blocked)
+        assert invoke(argv, tmp_path, monkeypatch) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {blocked}: {reason}\n")
+        assert [p.name for p in tmp_path.rglob("*")] == [blocked]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "elsewhere"
