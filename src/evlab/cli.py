@@ -315,9 +315,9 @@ def _require_pulse(args, grid: Grid1D, psi0: np.ndarray, *more: np.ndarray):
 
 def cmd_propagate(args, out: OutputWriter):
     units = UNITS[args.units]
-    # Checked before any arithmetic: NaN fails the barrier mask's comparisons
-    # silently, and a zero width divides by zero.
-    _require_finite(out.inputs, "pulse_center", "pulse_k0", "barrier_start", "barrier_width")
+    # Named first: NaN fails the barrier mask silently, a non-finite courant spoils the pulse.
+    _require_finite(out.inputs, "pulse_center", "pulse_k0", "barrier_start", "barrier_width",
+                    "courant")
     try:
         width2 = args.pulse_width**2
     except OverflowError:

@@ -285,7 +285,7 @@ def evolve_schrodinger(
     U = np.asarray(potential_U, dtype=float)
     if U.shape != (grid.count,):
         raise ValueError("potential length must match grid count")
-    _require_all(np.isfinite(U), U, "potential must be finite")
+    _require_all(np.isfinite(U), U, "potential must be finite, got U={}")
     hbar = units.hbar
     k = 2.0 * math.pi * np.fft.fftfreq(grid.count, grid.dx)
     with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
