@@ -19,7 +19,7 @@ from .numcore import NATURAL_UNITS, UnitSystem, _require_all
 
 @dataclass(frozen=True)
 class Event:
-    """A spacetime point (t, x); t and x may be arrays of one shape."""
+    """A spacetime point (t, x)."""
 
     t: float
     x: float
@@ -36,7 +36,8 @@ class Boost:
         beta = self.V / units.c
         if not abs(beta) < 1.0:
             raise ValueError(f"|V| = {abs(self.V)} must be below c = {units.c}")
-        return 1.0 / math.sqrt(1.0 - beta * beta)
+        # (1 - beta) is exact near |beta| = 1, where 1 - beta^2 loses digits.
+        return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class SignalLeg:
     """One hop of the relay: emission event, propagation speed (may exceed
     c), and the evanescent barrier it crosses (kappa, width) for the
     attenuation bookkeeping. The barrier width doubles as the travel
-    distance of the hop, and may be an array of widths."""
+    distance of the hop."""
 
     speed: float
     emit: Event
@@ -55,10 +56,10 @@ class SignalLeg:
         # Written so that NaN fails them.
         if not self.speed > 0:
             raise ValueError(f"signal speed must be positive, got speed={self.speed}")
-        _require_all(self.barrier_kappa >= 0, self.barrier_kappa,
-                     "barrier kappa must be non-negative, got kappa={}")
-        _require_all(self.barrier_width >= 0, self.barrier_width,
-                     "barrier width must be non-negative, got width={}")
+        if not self.barrier_kappa >= 0:
+            raise ValueError(f"barrier kappa must be non-negative, got kappa={self.barrier_kappa}")
+        if not self.barrier_width >= 0:
+            raise ValueError(f"barrier width must be non-negative, got width={self.barrier_width}")
 
     @property
     def amplitude_factor(self):
@@ -118,17 +119,16 @@ def round_trip(
     Returns the lab arrival event, the time advance
     (t_emit(lab) - t_arrival(lab); positive means the reply precedes the
     original emission), the combined attenuation amplitude, and the
-    causal-loop flag. Array barrier widths broadcast: each entry is
-    computed exactly as a scalar call with that width.
+    causal-loop flag.
     """
     if not reply_delay >= 0:
         raise ValueError(f"reply_delay must be non-negative, got reply_delay={reply_delay}")
     boost = Boost(frame_V)
     boost.gamma(units)  # validates |frame_V| < c
     d1, d2 = leg1.barrier_width, leg2.barrier_width
-    _require_all(d1 > 0, d1, "both legs need a positive travel distance, got d1={}")
-    _require_all(d2 > 0, d2, "both legs need a positive travel distance, got d2={}")
-    # Overflow surfaces as a non-finite arrival, named below.
+    if not (d1 > 0 and d2 > 0):
+        raise ValueError(f"both legs need a positive travel distance, got d1={d1}, d2={d2}")
+    # Overflow surfaces as a non-finite arrival, named below; NumPy scalars would warn.
     with np.errstate(over="ignore", invalid="ignore"):
         # Leg 1 in the lab: emit -> exit at the far side of the first barrier.
         exit1 = Event(t=leg1.emit.t + d1 / leg1.speed, x=leg1.emit.x + d1)
@@ -138,17 +138,10 @@ def round_trip(
         arrival = inverse_lorentz(arrival_S, boost, units)
         advance = leg1.emit.t - arrival.t
         amplitude = leg1.amplitude_factor * leg2.amplitude_factor
-    finite = np.isfinite(arrival.t) & np.isfinite(arrival.x) & np.isfinite(advance)
-    if not np.all(finite):
-        i = np.argmin(finite)
-        w1, w2 = (np.broadcast_to(w, np.shape(finite)).flat[i] for w in (d1, d2))
-        raise ValueError(f"round trip leaves the double range at barrier widths d1={w1}, d2={w2}")
-    return {
-        "arrival": arrival,
-        "advance": advance,
-        "amplitude": amplitude,
-        "causal_loop": advance > 0,
-    }
+    if not all(map(math.isfinite, (arrival.t, arrival.x, advance))):
+        raise ValueError(f"round trip leaves the double range at barrier widths d1={d1}, d2={d2}")
+    return {"arrival": arrival, "advance": advance, "amplitude": amplitude,
+            "causal_loop": advance > 0}
 
 
 def tradeoff_sweep(
@@ -162,10 +155,12 @@ def tradeoff_sweep(
     """Attenuation-vs-advance tradeoff over barrier sizes.
 
     For each d both legs cross a barrier of decay kappa and width d at
-    v_signal, so the amplitude is exp(-2 kappa d). A width is feasible when
-    the loop closes (advance > 0) *and* the attenuated signal still clears
-    the detector threshold. Returns columns "d", "advance", "amplitude" and
-    "detectable", one entry per width, from one round_trip call.
+    v_signal with no reply delay, so the trip is linear in d: the advance is
+    d times that of one unit-width round_trip (one sign at every width), and
+    the amplitude is exp(-kappa d)^2. A width is feasible when the loop
+    closes (advance > 0) *and* the attenuated signal still clears the
+    detector threshold. Returns columns "d", "advance", "amplitude" and
+    "detectable", one entry per width.
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
@@ -176,11 +171,12 @@ def tradeoff_sweep(
     d = np.asarray(d_range, dtype=float)
     if not d.size:
         raise ValueError("empty d_range")
-    leg = SignalLeg(speed=v_signal, emit=Event(0.0, 0.0), barrier_kappa=kappa, barrier_width=d)
-    result = round_trip(leg, 0.0, leg, frame_V, units)
-    return {
-        "d": d,
-        "advance": result["advance"],
-        "amplitude": result["amplitude"],
-        "detectable": result["amplitude"] >= detector_threshold,
-    }
+    _require_all(d > 0, d, "barrier width must be positive, got width={}")
+    unit = SignalLeg(speed=v_signal, emit=Event(0.0, 0.0), barrier_width=1.0)
+    per_width = round_trip(unit, 0.0, unit, frame_V, units)["advance"]
+    with np.errstate(over="ignore"):
+        advance = d * per_width
+        amplitude = np.exp(-kappa * d) ** 2
+    _require_all(np.isfinite(advance), d, "the advance leaves the double range at width={}")
+    return {"d": d, "advance": advance, "amplitude": amplitude,
+            "detectable": amplitude >= detector_threshold}

@@ -128,6 +128,17 @@ def cells_are_17g(out, summary):
     assert not bad, bad[:5]
 
 
+def tradeoff(advance_per_width, window):
+    """Every advance in tradeoff.csv is its width times advance_per_width, so all share one
+    sign, and the feasibility window is as given."""
+    def check(out, summary):
+        with open(out / "tradeoff.csv", newline="") as fh:
+            rows = [(float(r["d"]), float(r["advance"])) for r in csv.DictReader(fh)]
+        assert [a for _, a in rows] == [d * advance_per_width for d, _ in rows], rows
+        assert summary["outputs"]["feasibility_window"] == window, summary["outputs"]
+    return check
+
+
 PULSE_BASE = ["propagate", "--steps", "20", "--grid-n", "512", "--x-min", "-12.8",
               "--pulse-center", "-5", "--pulse-width", "1"]
 
@@ -194,12 +205,12 @@ CONTRACT = [
     Row(["ttime", "--u0", "2", "--sweep-e", "nan:0.5:3"], 1, "'nan:0.5:3'"),
     Row(["tolman", "--sweep-d", "1:inf:3"], 1, "'1:inf:3'"),
     Row(["stationary", "--u0", "2", "--sweep-e", "-1e308:1e308:3"], 1, "'-1e308:1e308:3'"),
-    # The round trip leaves the double range: named, with no RuntimeWarning.
-    Row(["tolman", "--sweep-d", "1:1e308:3", "--v-signal", "10", "--v-frame", "0.9"], 1,
-        "d1=1e+308"),
+    # The advance leaves the double range: named, with no RuntimeWarning.
+    Row(["tolman", "--sweep-d", "1:1e308:3", "--v-signal", "10", "--v-frame", "-0.9"], 1,
+        "width=1e+308"),
     # A sweep names its first bad entry, not the whole array.
     Row(["tolman", "--sweep-d=-1:2:5000"], 1, "width=-1.0"),
-    Row(["tolman", "--sweep-d=0:2:5000"], 1, "d1=0.0"),
+    Row(["tolman", "--sweep-d=0:2:5000"], 1, "width=0.0"),
     Row(["stationary", "--u0", "2", "--sweep-e", "0:1:5000"], 1, "E=0.0 is not inside"),
     Row(["ttime", "--u0", "2", "--sweep-e", "0:0.9:50"], 1, "positive, got E=0.0"),
     # A bad stride is refused with or without --snapshots.
@@ -329,8 +340,15 @@ CONTRACT = [
         check=relativistic_wavenumber(math.sqrt(0.75), 0)),
     Row(["stationary", "--u0", "2", "--e", "1"], 0),
     Row(["stationary", "--u0", "2", "--sweep-e", "0.01:1.99:600"], 0, check=cells_are_17g),
-    # One broadcast round trip over 1000 widths.
+    # One unit-width round trip scaled over 1000 widths.
     Row(["tolman", "--dx-over-dt", "2", "--sweep-d", "0.5:3:1000"], 0),
+    # gamma = 1.25 and 1/3 + 1.25 (1/3 - 0.6) = 0: the loop closes at no width.
+    Row(["tolman", "--v-signal", "3", "--v-frame", "0.6", "--kappa", "1", "--threshold", "1e-3",
+         "--sweep-d", "0.1:5:7"], 0,
+        check=tradeoff(0.0, {"empty": True, "d_min": None, "d_max": None})),
+    # The advance at 1e308 is a double, though the trip's events at that width are not.
+    Row(["tolman", "--sweep-d", "1:1e308:3", "--v-signal", "10", "--v-frame", "0.9"], 0,
+        check=tradeoff(1.735325870964494, {"empty": False, "d_min": 1.0, "d_max": 1.0})),
     Row(["spectrum", "--a", "1e6", "--tail-akprime", "628.3", "--lorentz", "1", "1e-12"], 0,
         check=moments_at_a_1e6),
     Row(["spectrum", "--a", "0.37", "--tail-akprime", "10", "--lorentz", "1", "0.5",
