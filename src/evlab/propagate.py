@@ -336,6 +336,8 @@ def snapshot_csvs(record: PropagationRecord):
     pattern the previous file held taking that file's text (a unit-Courant
     run translates most of its field from one snapshot to the next). Keying
     on bits keeps -0.0 apart from +0.0."""
+    # Kept over one format_17g call per file: 21 ms against 34 ms for the 12 files of a
+    # unit-Courant 3072-cell wave run, but 137 against 92 ms for 51 split-step files.
     templates = {}
     # The previous file's distinct bit patterns, sorted, and their text; +0.0 to start.
     known_bits, known_text = np.zeros(1, np.int64), np.array(["0"], dtype=object)

@@ -50,10 +50,10 @@ class StationarySolution:
     kappa is the evanescent decay constant inside the classically forbidden
     region; k the exterior wavenumber. F1/F2 multiply the decaying/growing
     interior exponentials; r and t are the exterior reflection and
-    transmission amplitudes. width_d is None for a threshold (semi-infinite
-    forbidden region), in which case F2 = 0 and t = 0. The energy-dependent
-    fields broadcast over E: scalars for a scalar energy, arrays of its shape
-    for an array of energies.
+    transmission amplitudes. width_d is the barrier's width, inf for a
+    threshold (a potential step, whose forbidden region is semi-infinite), in
+    which case F2 = 0 and t = 0. The energy-dependent fields broadcast over E:
+    scalars for a scalar energy, arrays of its shape for an array of energies.
     """
 
     energy_E: float
@@ -63,7 +63,7 @@ class StationarySolution:
     F2: complex
     r: complex
     t: complex
-    width_d: float | None
+    width_d: float
     mass_m: float
 
     @property
@@ -92,18 +92,6 @@ def _wavenumbers(E, U0: float, m: float, d: float, units: UnitSystem):
     _require_all((k > 0) & (k < math.inf) & (kappa > 0) & (kappa < math.inf), E,
                  f"k and kappa must be positive and finite, got E={{}}, U0={U0}, m={m}")
     return k, kappa, root_E / root_gap, kd
-
-
-def threshold_solution(
-    E: float, U0: float, m: float = 1.0, units: UnitSystem = NATURAL_UNITS
-) -> StationarySolution:
-    """Total reflection from a potential step, the slab of infinite width: one decaying
-    wave for x >= 0, and F2 = t = 0."""
-    k, kappa, kh, kd = _wavenumbers(E, U0, m, math.inf, units)
-    F1, F2, r, t = match_evanescent_slab(kh, kd)
-    return StationarySolution(
-        energy_E=E, k=k, kappa=kappa, F1=F1, F2=F2, r=r, t=t, width_d=None, mass_m=m
-    )
 
 
 def _slab_system(kh, kd):
@@ -175,6 +163,14 @@ def barrier_solution(
     )
 
 
+def threshold_solution(
+    E: float, U0: float, m: float = 1.0, units: UnitSystem = NATURAL_UNITS
+) -> StationarySolution:
+    """Total reflection from a potential step: the barrier of infinite width, with one
+    decaying wave for x >= 0, and F2 = t = 0."""
+    return barrier_solution(E, BarrierSpec(U0, math.inf, m), units)
+
+
 def probability_flux(
     sol: StationarySolution, x: float, units: UnitSystem = NATURAL_UNITS
 ) -> float:
@@ -185,8 +181,7 @@ def probability_flux(
     x-independent; past the exit it is |t|^2 hbar k / m.
     """
     hbar, m = units.hbar, sol.mass_m
-    in_interior = (x >= 0) if sol.width_d is None else (0 <= x <= sol.width_d)
-    if in_interior:
+    if 0 <= x <= sol.width_d:
         return 2.0 * (hbar * sol.kappa / m) * (sol.F1.conjugate() * sol.F2).imag
     if x < 0:
         return (hbar * sol.k / m) * (1.0 - abs(sol.r) ** 2)

@@ -19,6 +19,7 @@ import pytest
 import evlab
 from evlab import cli, spectral, stationary, tolman, ttime
 from evlab.cli import run
+from evlab.numcore import FORMAT_VECTOR_MIN_CELLS
 from test_ttime import buttiker_dwell_time, buttiker_phase_time, transit_time
 
 
@@ -54,7 +55,7 @@ class TestExitCodes:
         out = cli.OutputWriter(argparse.Namespace(
             output_dir=str(tmp_path), format="both", force=False, command="x"))
         assert out.inputs == {}
-        out.add_result("value", math.nan)
+        out.outputs["value"] = math.nan
         with pytest.raises(ValueError):
             out.finish()
         assert not (tmp_path / "x_summary.json").exists()
@@ -691,10 +692,10 @@ def test_cli_paths_run_without_scipy(tmp_path):
 
 
 class TestRowFormat:
-    def write(self, tmp_path, rows, fmt):
+    def write(self, tmp_path, rows, fmt, sep=None):
         out = cli.OutputWriter(argparse.Namespace(
             output_dir=str(tmp_path), format=fmt, force=True, command="x"))
-        out.write_csv("table.csv", ["a", "b", "c", "d"], rows)
+        out.write_csv("table.csv", ["a", "b", "c", "d"], rows, sep)
         out.finish()
         return out.outputs["table"]
 
@@ -710,12 +711,36 @@ class TestRowFormat:
         assert [line.split(",") for line in lines[1:-1]] == expected
         assert self.write(tmp_path, values, "json")["rows"] == expected
 
-    def test_text_column_as_given(self, tmp_path):
-        # tolman's tradeoff rows: three floats and the detectable flag.
-        rows = [[0.5, -0.1875, math.exp(-1.0), "true"], [3.0, 0.1, 5e-324, "false"]]
+    def test_text_in_separators_as_given(self, tmp_path):
+        # tolman's tradeoff rows: three floats, the detectable flag in each row's last
+        # separator.
+        rows = np.array([[0.5, -0.1875, math.exp(-1.0)], [3.0, 0.1, 5e-324]])
+        sep = [",", ",", ",true\n", ",", ",", ",false\n"]
         expected = [["0.5", "-0.1875", "0.36787944117144233", "true"],
                     ["3", "0.10000000000000001", "4.9406564584124654e-324", "false"]]
-        self.write(tmp_path, rows, "csv")
+        self.write(tmp_path, rows, "csv", sep)
         text = (tmp_path / "table.csv").read_text()
         assert text == "a,b,c,d\n" + "".join(",".join(r) + "\n" for r in expected)
-        assert self.write(tmp_path, rows, "json")["rows"] == expected
+        assert self.write(tmp_path, rows, "json", sep)["rows"] == expected
+
+    @pytest.mark.parametrize("count", [7, 1000])
+    def test_tolman_table_is_percent_17g_with_flags(self, tmp_path, monkeypatch, count):
+        # The oracle writes "%.17g" per cell and ends each row with its flag. The 21 cells
+        # of 7 rows take format_17g's % path, the 3000 of 1000 rows its vectorised one.
+        assert (3 * count < FORMAT_VECTOR_MIN_CELLS) == (count == 7)
+        argv = ["tolman", "--sweep-d", f"0.5:3:{count}", "--v-signal", "5", "--v-frame", "0.9"]
+        sweep = tolman.tradeoff_sweep(1.0, 5.0, 0.9, np.linspace(0.5, 3.0, count), 0.01)
+        columns = zip(sweep["d"].tolist(), sweep["advance"].tolist(),
+                      sweep["amplitude"].tolist(), sweep["detectable"].tolist())
+        expected = ["%.17g,%.17g,%.17g,%s" % (*cells, "true" if flag else "false")
+                    for *cells, flag in columns]
+        assert {line[-5:] for line in expected} == {",true", "false"}
+        assert invoke([*argv, "--format", "csv", "--output-dir", "csv"],
+                      tmp_path, monkeypatch) == 0
+        lines = (tmp_path / "csv" / "tradeoff.csv").read_text().split("\n")
+        assert lines == ["d,advance,amplitude,detectable", *expected, ""]
+        assert invoke([*argv, "--format", "json", "--output-dir", "json"],
+                      tmp_path, monkeypatch) == 0
+        table = load_summary(tmp_path / "json", "tolman")["outputs"]["tradeoff"]
+        assert table == {"columns": ["d", "advance", "amplitude", "detectable"],
+                         "rows": [line.split(",") for line in expected]}
