@@ -278,11 +278,10 @@ def format_17g(values, sep) -> bytes:
         template = "".join(cells) * whole + "".join(cells[:part])
         return (template % tuple(values.tolist())).encode()
     tables = _format_tables()
-    sep_bytes = [s.encode() for s in sep]
-    width = max(map(len, sep_bytes))
-    sep_rows = np.zeros((len(sep), width), np.uint8)
-    for row, text in zip(sep_rows, sep_bytes):
-        row[:len(text)] = np.frombuffer(text, np.uint8)
+    # NUL-padded to the longest separator (one NUL if all are empty); the NULs are dropped.
+    sep_rows = np.array([s.encode() for s in sep], dtype=bytes).view(np.uint8)
+    sep_rows = sep_rows.reshape(len(sep), -1)
+    width = sep_rows.shape[1]
     # Rows of whole uint32 words, so the digit chunks are written as words.
     buf = np.zeros((min(values.size, FORMAT_BLOCK_CELLS), _SEP + -(-width // 4) * 4), np.uint8)
     buf[:, _DOT:_NUL] = np.frombuffer(b".-+einfa", np.uint8)

@@ -324,37 +324,9 @@ def evolve_schrodinger(
 
 def snapshot_csvs(record: PropagationRecord):
     """Yield the CSV bytes of every kept snapshot, in record order: x, re, im
-    and WavePacket.abs2(), %.17g. Which fields are kept is the recorder's
-    choice, through keep_every; the i-th is the file of record index
-    record.snapshot_indices[i].
-
-    The bytes are those of one %.17g template per file (numcore.format_17g
-    writes every value), but no file formats a double it already has as
-    text: the grid column is formatted once per grid, an imaginary column
-    that is +0.0 throughout (every wave run) is the literal 0, and re, im
-    and abs2 are formatted once per distinct bit pattern in a file, a
-    pattern the previous file held taking that file's text (a unit-Courant
-    run translates most of its field from one snapshot to the next). Keying
-    on bits keeps -0.0 apart from +0.0."""
-    # Kept over one format_17g call per file: 21 ms against 34 ms for the 12 files of a
-    # unit-Courant 3072-cell wave run, but 137 against 92 ms for 51 split-step files.
-    templates = {}
-    # The previous file's distinct bit patterns, sorted, and their text; +0.0 to start.
-    known_bits, known_text = np.zeros(1, np.int64), np.array(["0"], dtype=object)
+    and WavePacket.abs2(), one numcore.format_17g call per file. Which fields
+    are kept is the recorder's choice, through keep_every; the i-th is the
+    file of record index record.snapshot_indices[i]."""
     for wp in record.snapshots:
-        cols = [wp.values.real.view(np.int64), wp.values.imag.view(np.int64),
-                wp.abs2().view(np.int64)]
-        real = not cols[1].any()
-        if real:
-            del cols[1]
-        if (wp.grid, real) not in templates:
-            row = ",%s,0,%s\n" if real else ",%s,%s,%s\n"
-            templates[wp.grid, real] = format_17g(wp.grid.points(), [row]).decode()
-        bits, inverse = np.unique(np.column_stack(cols).ravel(), return_inverse=True)
-        at = np.minimum(np.searchsorted(known_bits, bits), known_bits.size - 1)
-        new = known_bits[at] != bits
-        text = known_text[at]
-        text[new] = format_17g(bits[new].view(np.float64), ["\n"]).decode().split("\n")[:-1]
-        cells = tuple(text[inverse].tolist())
-        yield ("x,re,im,abs2\n" + templates[wp.grid, real] % cells).encode()
-        known_bits, known_text = bits, text
+        table = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
+        yield b"x,re,im,abs2\n" + format_17g(table, [",", ",", ",", "\n"])

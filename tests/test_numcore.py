@@ -314,9 +314,9 @@ class TestFormat17g:
         sep = [","] * (columns - 1) + ["\n"]
         assert format_17g(values, sep) == reference_17g(values, sep)
 
-    @pytest.mark.parametrize("cells", [5, FORMAT_BLOCK_CELLS + 5])
+    @pytest.mark.parametrize("cells", [5, FORMAT_VECTOR_MIN_CELLS, FORMAT_BLOCK_CELLS + 5])
     def test_separators_are_copied_as_given(self, cells):
-        # A % in a separator, one empty and one per value, as snapshot and tolman rows use.
+        # A % in a separator, one empty, all empty, and one per value as tolman rows use.
         values = np.linspace(-3.0, 3.0, cells)
-        for sep in ([",%s,0,%s\n"], ["", ";"], [f",{i}\n" for i in range(cells)]):
+        for sep in ([",%s,0,%s\n"], ["", ";"], [""], [f",{i}\n" for i in range(cells)]):
             assert format_17g(values, sep) == reference_17g(values, sep)
