@@ -371,13 +371,16 @@ def cmd_tolman(args, out: OutputWriter):
     if args.sweep_d:
         sweep = tolman.tradeoff_sweep(args.kappa, args.v_signal, args.v_frame,
                                       _parse_sweep(args.sweep_d), args.threshold, units)
-        d, advance, detectable = sweep["d"], sweep["advance"], sweep["detectable"]
+        d, detectable = sweep["d"], sweep["detectable"]
         # Each row's detectable flag is written into the separator after its last number.
         flags = np.where(detectable, ",true\n", ",false\n").tolist()
         out.write_csv("tradeoff.csv", ["d", "advance", "amplitude", "detectable"],
-                      np.column_stack([d, advance, sweep["amplitude"]]),
+                      np.column_stack([d, sweep["advance"], sweep["amplitude"]]),
                       [sep for flag in flags for sep in (",", ",", flag)])
-        feasible = d[(advance > 0) & detectable]
+        # The loop closes at every width or at none, as decided exactly in tradeoff_sweep.
+        feasible = d[detectable] if sweep["closes"] else d[:0]
+        for key in ("advance_per_width", "d_max_detectable", "max_advance"):
+            out.outputs[key] = sweep[key]
         out.outputs["feasibility_window"] = {
             "empty": feasible.size == 0,
             "d_min": float(feasible.min()) if feasible.size else None,

@@ -264,12 +264,9 @@ def format_17g(values, sep) -> bytes:
     """The bytes of "%.17g" % v for each of values (flattened), each followed by its
     separator: the strings of sep, tiled over the values.
 
-    Above FORMAT_VECTOR_MIN_CELLS values the digits are D = |v| 10^(16 - E) rounded half
-    to even at E = floor(log10 |v|), from v's frexp mantissa times 10^(16 - E) in
-    double-double arithmetic (error below 2^-46). A value within 2^-30 of a tie, whose E
-    log10 misjudged, or whose D rounds up to 10^17 takes D and E from "%.16e" % v, the same
-    correctly rounded conversion. The text is then one gather from a byte row per value
-    through a layout picked by sign, exponent class and digit count.
+    Below FORMAT_VECTOR_MIN_CELLS values this is one % template; above, it is the
+    join_cells text of format_17g_cells' rows, joined a block at a time so that a large
+    table never holds all its rows at once.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size < FORMAT_VECTOR_MIN_CELLS:
@@ -277,6 +274,26 @@ def format_17g(values, sep) -> bytes:
         cells = ["%.17g" + s.replace("%", "%%") for s in sep]
         template = "".join(cells) * whole + "".join(cells[:part])
         return (template % tuple(values.tolist())).encode()
+    return b"".join(map(join_cells, _cell_blocks(values, sep)))
+
+
+def format_17g_cells(values, sep) -> np.ndarray:
+    """format_17g's text of each of values (flattened) and its separator, as one row per
+    value of a (values.size, 24 + separator width) uint8 array, NUL-padded, at any size.
+
+    The digits are D = |v| 10^(16 - E) rounded half to even at E = floor(log10 |v|), from
+    v's frexp mantissa times 10^(16 - E) in double-double arithmetic (error below 2^-46).
+    A value within 2^-30 of a tie, whose E log10 misjudged, or whose D rounds up to 10^17
+    takes D and E from "%.16e" % v, the same correctly rounded conversion. The text is
+    then one gather from a byte row per value through a layout picked by sign, exponent
+    class and digit count. The rows of a column that repeats bit for bit can be kept and
+    joined again (propagate.snapshot_csvs).
+    """
+    return np.concatenate([*_cell_blocks(np.asarray(values, dtype=float).ravel(), sep)])
+
+
+def _cell_blocks(values, sep):
+    """format_17g_cells' rows of the flat float array values, FORMAT_BLOCK_CELLS at a time."""
     tables = _format_tables()
     # NUL-padded to the longest separator (one NUL if all are empty); the NULs are dropped.
     sep_rows = np.array([s.encode() for s in sep], dtype=bytes).view(np.uint8)
@@ -287,9 +304,16 @@ def format_17g(values, sep) -> bytes:
     buf[:, _DOT:_NUL] = np.frombuffer(b".-+einfa", np.uint8)
     layouts = np.concatenate([tables[4], np.broadcast_to(
         np.arange(_SEP, _SEP + width), (tables[4].shape[0], width))], axis=1)
-    return b"".join(_format_block(values[at:at + FORMAT_BLOCK_CELLS], at, sep_rows, buf,
-                                  layouts, tables)
-                    for at in range(0, values.size, FORMAT_BLOCK_CELLS))
+    for at in range(0, values.size, FORMAT_BLOCK_CELLS):
+        yield _format_block(values[at:at + FORMAT_BLOCK_CELLS], at, sep_rows, buf, layouts,
+                            tables)
+
+
+def join_cells(*columns) -> bytes:
+    """The text of format_17g_cells rows placed side by side: row i of each column in
+    turn, row after row, with the NUL padding dropped."""
+    rows = columns[0] if len(columns) == 1 else np.hstack(columns)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _digits_17(x, pow10, shifts):
@@ -327,7 +351,7 @@ def _digits_17(x, pow10, shifts):
 
 
 def _format_block(x, at, sep_rows, buf, layouts, tables):
-    """format_17g's text of the values x, the first of which is value number at."""
+    """format_17g_cells' rows of the values x, the first of which is value number at."""
     pow10, shifts, chunks, last, _, layout_base = tables
     digits, e10 = _digits_17(x, pow10, shifts)  # its temporaries freed before the layouts
     buf = buf[:x.size]
@@ -343,4 +367,4 @@ def _format_block(x, at, sep_rows, buf, layouts, tables):
     lid = layout_base.take(e10 + 324) + np.maximum(ndig, 1) + np.signbit(x) * (_CLASSES * 17)
     index = layouts.take(lid, axis=0)
     index += (np.arange(x.size) * buf.shape[1])[:, None]
-    return buf.ravel().take(index).tobytes().translate(None, b"\0")
+    return buf.ravel().take(index)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, _require_all, format_17g
+from .numcore import (NATURAL_UNITS, Grid1D, UnitSystem, WavePacket, _require_all,
+                      format_17g_cells, join_cells)
 
 
 class BoundaryContactError(RuntimeError):
@@ -324,9 +325,16 @@ def evolve_schrodinger(
 
 def snapshot_csvs(record: PropagationRecord):
     """Yield the CSV bytes of every kept snapshot, in record order: x, re, im
-    and WavePacket.abs2(), one numcore.format_17g call per file. Which fields
-    are kept is the recorder's choice, through keep_every; the i-th is the
-    file of record index record.snapshot_indices[i]."""
+    and WavePacket.abs2(), each column numcore.format_17g_cells' rows, joined
+    row by row. A column whose bits equal the previous file's (the grid's x in
+    every file, a real field's imaginary part) reuses its rows; -0.0 and +0.0
+    differ in bits. Which fields are kept is the recorder's choice, through
+    keep_every; the i-th is the file of record index record.snapshot_indices[i]."""
+    seps = [",", ",", ",", "\n"]
+    bits, rows = [None] * 4, [None] * 4  # each column's, in the previous file
     for wp in record.snapshots:
-        table = np.column_stack([wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()])
-        yield b"x,re,im,abs2\n" + format_17g(table, [",", ",", ",", "\n"])
+        columns = [wp.grid.points(), wp.values.real, wp.values.imag, wp.abs2()]
+        for j, column in enumerate(columns):
+            if not np.array_equal(column.view(np.uint64), bits[j]):  # never equal to None
+                bits[j], rows[j] = column.view(np.uint64), format_17g_cells(column, seps[j])
+        yield b"x,re,im,abs2\n" + join_cells(*rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -156,16 +157,24 @@ def tradeoff_sweep(
 
     For each d both legs cross a barrier of decay kappa and width d at
     v_signal with no reply delay, so the trip is linear in d: the advance is
-    d times that of one unit-width round_trip (one sign at every width), and
-    the amplitude is exp(-kappa d)^2. A width is feasible when the loop
-    closes (advance > 0) *and* the attenuated signal still clears the
-    detector threshold. Returns columns "d", "advance", "amplitude" and
-    "detectable", one entry per width.
+    d times advance_per_width, that of one unit-width round_trip (one sign at
+    every width), and the amplitude is exp(-kappa d)^2. Returns the columns
+    "d", "advance", "amplitude" and "detectable" (amplitude >= threshold), one
+    entry per width, and four scalars:
+    - "closes": whether the loop closes at all, decided exactly on the double
+      inputs: gamma (V v / c^2 - 1) > 1, that is V v > c^2 and
+      (V v / c^2 - 1)^2 > 1 - V^2 / c^2. Within rounding of that boundary the
+      advance column's sign is a residue, not the loop's;
+    - "advance_per_width";
+    - "d_max_detectable" = ln(1 / threshold) / (2 kappa), the widest barrier
+      whose signal clears the detector;
+    - "max_advance", the attenuation cap on the gain: advance_per_width times
+      d_max_detectable if the loop closes, None if it does not.
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
-    if not v_signal > units.c:
-        raise ValueError("v_signal must exceed c")
+    if not units.c < v_signal < math.inf:
+        raise ValueError(f"v_signal must be finite and exceed c, got v_signal={v_signal}")
     if not 0 < detector_threshold <= 1:
         raise ValueError("detector_threshold must lie in (0, 1]")
     d = np.asarray(d_range, dtype=float)
@@ -178,5 +187,15 @@ def tradeoff_sweep(
         advance = d * per_width
         amplitude = np.exp(-kappa * d) ** 2
     _require_all(np.isfinite(advance), d, "the advance leaves the double range at width={}")
+    V, c2 = Fraction(frame_V), Fraction(units.c) ** 2
+    excess = V * Fraction(v_signal) / c2 - 1
+    closes = excess > 0 and excess**2 > 1 - V**2 / c2
+    d_max = abs(math.log(detector_threshold)) / (2.0 * kappa)  # abs: ln 1 = 0, not -0
+    max_advance = per_width * d_max if closes else None
+    if not (math.isfinite(d_max) and math.isfinite(max_advance or 0.0)):
+        raise ValueError(f"the detectable width leaves the double range at kappa={kappa}, "
+                         f"threshold={detector_threshold}")
     return {"d": d, "advance": advance, "amplitude": amplitude,
-            "detectable": amplitude >= detector_threshold}
+            "detectable": amplitude >= detector_threshold, "closes": closes,
+            "advance_per_width": per_width, "d_max_detectable": d_max,
+            "max_advance": max_advance}

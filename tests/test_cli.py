@@ -475,8 +475,11 @@ class TestSubcommands:
         assert summary["outputs"]["interval"] == "spacelike"
         assert summary["outputs"]["ordering"] == "b_first"
         assert (tmp_path / "tradeoff.csv").exists()
-        window = summary["outputs"]["feasibility_window"]
-        assert window["empty"] in (True, False)
+        # The loop closes; amplitude e^{-4d} clears 1e-4 up to d = ln(1e4)/4 = 2.30.
+        outputs = summary["outputs"]
+        assert outputs["d_max_detectable"] == pytest.approx(math.log(1e4) / 4.0, rel=1e-15)
+        assert outputs["feasibility_window"] == {"empty": False, "d_min": 0.5, "d_max": 2.0}
+        assert outputs["max_advance"] == outputs["advance_per_width"] * outputs["d_max_detectable"]
 
     @pytest.mark.parametrize("dx_over_dt, ordering", [("1e200", "b_first"), ("-1e200", "a_first")])
     def test_tolman_huge_separation_is_spacelike(self, tmp_path, monkeypatch, dx_over_dt, ordering):

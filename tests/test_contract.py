@@ -130,12 +130,17 @@ def cells_are_17g(out, summary):
 
 def tradeoff(advance_per_width, window):
     """Every advance in tradeoff.csv is its width times advance_per_width, so all share one
-    sign, and the feasibility window is as given."""
+    sign, and the feasibility window is as given. The summary's cap is advance_per_width
+    times d_max_detectable where the window holds a width, and null where it is empty."""
     def check(out, summary):
         with open(out / "tradeoff.csv", newline="") as fh:
             rows = [(float(r["d"]), float(r["advance"])) for r in csv.DictReader(fh)]
         assert [a for _, a in rows] == [d * advance_per_width for d, _ in rows], rows
-        assert summary["outputs"]["feasibility_window"] == window, summary["outputs"]
+        outputs = summary["outputs"]
+        assert outputs["feasibility_window"] == window, outputs
+        assert outputs["advance_per_width"] == advance_per_width
+        cap = None if window["empty"] else advance_per_width * outputs["d_max_detectable"]
+        assert outputs["max_advance"] == cap
     return check
 
 

@@ -17,7 +17,9 @@ from evlab.numcore import (
     UnitSystem,
     WavePacket,
     format_17g,
+    format_17g_cells,
     integrate,
+    join_cells,
 )
 from evlab.ttime import esposito_special_energy
 
@@ -275,6 +277,27 @@ class TestFormat17g:
         for size in (len(xs), FORMAT_VECTOR_MIN_CELLS + len(xs)):
             values = np.resize(np.array(xs), size)
             assert format_17g(values, [","]) == reference_17g(values, [","])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_cell_rows_are_the_text_with_its_padding(self, xs):
+        # format_17g's bytes are its cell rows with the NULs dropped, at any size: one
+        # separator, one per column, and one per value as tolman rows use.
+        for size in (len(xs), FORMAT_BLOCK_CELLS, FORMAT_BLOCK_CELLS + len(xs)):
+            values = np.resize(np.array(xs), size)
+            flags = [",true\n" if v > 0 else ",false\n" for v in values.tolist()]
+            for sep in ([","], [",", ",", "\n"], [s for f in flags for s in (",", ",", f)][:size]):
+                cells = format_17g_cells(values, sep)
+                assert cells.shape == (size, 24 + max(map(len, sep)))
+                assert format_17g(values, sep) == cells[cells != 0].tobytes() == join_cells(cells)
+
+    def test_columns_join_row_by_row(self):
+        rng = np.random.default_rng(39)
+        table = rng.standard_normal((FORMAT_BLOCK_CELLS + 3, 3)) * 10.0 ** rng.uniform(-300, 300)
+        sep = [",", ";", "\n"]
+        columns = [format_17g_cells(table[:, j], sep[j]) for j in range(3)]
+        assert join_cells(*columns) == format_17g(table, sep) == reference_17g(table, sep)
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(28)

@@ -711,11 +711,18 @@ def hand_built_record(tiles=1):
     )
 
 
-def zero_imaginary_record():
+def complex_field(re, im):
+    """re + i im with both parts' bits as given (1j * im would turn some zeros' signs)."""
+    field = np.empty(len(re), dtype=complex)
+    field.real, field.imag = re, im
+    return field
+
+
+def zero_imaginary_record(tiles=1):
     # A real field whose imaginary column is +0.0 but for one -0.0, kept
-    # between two fields that are real throughout.
-    grid = Grid1D(0.0, 0.5, 6)
-    re = np.array([0.25, -1.0, 0.0, 3.0, -0.0, 1e-200])
+    # between two fields that are real throughout; 6 cells repeated tiles times.
+    grid = Grid1D(0.0, 0.5, 6 * tiles)
+    re = np.tile([0.25, -1.0, 0.0, 3.0, -0.0, 1e-200], tiles)
     odd = re.astype(complex)
     odd.imag[3] = -0.0
     fields = [re, odd, re]
@@ -723,6 +730,29 @@ def zero_imaginary_record():
         times=np.arange(3.0), snapshots=[WavePacket(grid, f) for f in fields],
         front_positions=np.zeros(3), peak_positions=np.zeros(3),
         snapshot_indices=np.arange(3),
+    )
+
+
+def one_bit_apart_record():
+    """Fields sharing re whose im columns differ from the previous file's in one
+    entry: a +0.0 turned -0.0, a subnormal turned another (abs2 keeps its bits),
+    the -0.0 turned back, and the subnormal's sign. FORMAT_VECTOR_MIN_CELLS / 4 rows."""
+    rows = FORMAT_VECTOR_MIN_CELLS // 4
+    rng = np.random.default_rng(39)
+    grid = Grid1D(-2.0, 0.125, rows)
+    re = rng.standard_normal(rows) * 10.0 ** rng.integers(-150, 150, rows)
+    re[:8] = 1.0
+    im = np.where(rng.random(rows) < 0.5, 0.0, rng.standard_normal(rows))
+    im[:8] = 0.0, 2.5e-310, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    ims = [im]
+    for at, value in ((2, -0.0), (1, 5e-324), (2, 0.0), (1, -5e-324)):
+        ims.append(ims[-1].copy())
+        ims[-1][at] = value
+    return PropagationRecord(
+        times=np.arange(5.0),
+        snapshots=[WavePacket(grid, complex_field(re, i)) for i in ims],
+        front_positions=np.zeros(5), peak_positions=np.zeros(5),
+        snapshot_indices=np.arange(5),
     )
 
 
@@ -736,6 +766,11 @@ SNAPSHOT_RECORDS = {
     # Four columns of at least FORMAT_VECTOR_MIN_CELLS / 4 rows: format_17g's vectorised path.
     "hand_built_vectorised": lambda: hand_built_record(-(-FORMAT_VECTOR_MIN_CELLS // 32)),
     "zero_imaginary_but_one": zero_imaginary_record,
+    # Columns equal under == but not in bits: a file that reused its predecessor's
+    # rows by value would print 0 for -0.
+    "zero_imaginary_but_one_vectorised":
+        lambda: zero_imaginary_record(-(-FORMAT_VECTOR_MIN_CELLS // 24)),
+    "one_bit_apart": one_bit_apart_record,
 }
 
 
@@ -748,11 +783,26 @@ class TestSnapshotDump:
         for data, wp in zip(files, record.snapshots):
             assert data == reference_snapshot_text(wp).encode()
 
-    def test_single_negative_zero_imaginary_entry_prints(self):
-        files = snapshot_csvs(zero_imaginary_record())
+    @pytest.mark.parametrize("tiles", [1, -(-FORMAT_VECTOR_MIN_CELLS // 24)])
+    def test_single_negative_zero_imaginary_entry_prints(self, tiles):
+        files = snapshot_csvs(zero_imaginary_record(tiles))
         ims = [[row["im"] for row in csv.DictReader(data.decode().splitlines())]
                for data in files]
-        assert ims == [["0"] * 6, ["0", "0", "0", "-0", "0", "0"], ["0"] * 6]
+        middle = ["0"] * (6 * tiles)
+        middle[3] = "-0"
+        assert ims == [["0"] * (6 * tiles), middle, ["0"] * (6 * tiles)]
+
+    def test_one_bit_apart_columns_print_their_own_bits(self):
+        files = list(snapshot_csvs(one_bit_apart_record()))
+        heads = [[line.split(",")[2] for line in data.decode().split("\n")[1:4]]
+                 for data in files]
+        assert heads == [["0", "2.5000000000000171e-310", "0"],
+                         ["0", "2.5000000000000171e-310", "-0"],
+                         ["0", "4.9406564584124654e-324", "-0"],
+                         ["0", "4.9406564584124654e-324", "0"],
+                         ["0", "-4.9406564584124654e-324", "0"]]
+        # |1 + i im|^2 rounds to 1 in these rows, so the abs2 column repeats while im does not.
+        assert len({wp.abs2().tobytes() for wp in one_bit_apart_record().snapshots}) == 1
 
     def test_values_parse_back_exactly(self):
         grid, record = make_run(kc_val=3.0, steps=30, record_every=10)

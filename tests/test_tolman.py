@@ -221,6 +221,63 @@ class TestTradeoffSweep:
                     worst = max(worst, float(abs(Decimal(advance) - exact) / scale))
         assert worst <= 1.5e-15, worst
 
+    def test_closure_decided_exactly(self):
+        # gamma (V v - 1) > 1 at 50 digits, at random points and at the doubles either side
+        # of the boundary v* = (1 + 1/gamma) / V, where the float advance is a residue.
+        rng = np.random.default_rng(39)
+        points = [(3.0, 0.6)]  # gamma = 1.25 and 1/3 + 1.25 (1/3 - 0.6) = 0: no loop
+        for V in rng.uniform(0.05, 0.99, 100).tolist():
+            v_star = (1.0 + math.sqrt(1.0 - V * V)) / V
+            points += [(v, V) for v in (v_star, math.nextafter(v_star, 0.0),
+                                        math.nextafter(v_star, math.inf))]
+        points += list(zip(rng.uniform(1.01, 20.0, 200).tolist(),
+                           rng.uniform(-0.99, 0.99, 200).tolist()))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for v, V in points:
+                Dv, DV = Decimal(v), Decimal(V)
+                loop = (DV * Dv - 1) / (1 - DV * DV).sqrt() > 1
+                cols = tradeoff_sweep(1.0, v, V, [0.5, 1.0], 0.01)
+                assert cols["closes"] is loop, (v, V)
+                assert (cols["max_advance"] is None) is not loop
+        cols = tradeoff_sweep(1.0, 3.0, 0.6, np.linspace(0.1, 5.0, 7), 1e-3)
+        assert not cols["closes"] and cols["advance"].tolist() == [0.0] * 7
+
+    def test_coefficient_and_cap_against_decimal(self):
+        # advance_per_width = -[1/v + gamma (1/v - V)] at 50 digits, rel 1e-14 where the two
+        # terms cancel to no less than a quarter of their size; d_max = ln(1/threshold)/2 kappa.
+        rng = np.random.default_rng(40)
+        checked = 0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(2000):
+                v, V = rng.uniform(1.01, 20.0), rng.uniform(-0.99, 0.99)
+                kappa, threshold = rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-300.0, 0.0)
+                cols = tradeoff_sweep(kappa, v, V, [1.0], threshold)
+                Dv, DV = Decimal(v), Decimal(V)
+                gamma = 1 / (1 - DV * DV).sqrt()
+                exact = -(1 / Dv + gamma * (1 / Dv - DV))
+                d_max = -Decimal(threshold).ln() / (2 * Decimal(kappa))
+                assert float(d_max) == pytest.approx(cols["d_max_detectable"], rel=1e-15)
+                if cols["closes"]:
+                    cap = cols["advance_per_width"] * cols["d_max_detectable"]
+                    assert cols["max_advance"] == cap
+                if abs(exact) * 4 >= 1 / Dv + gamma * (1 / Dv + abs(DV)):
+                    checked += 1
+                    assert cols["advance_per_width"] == pytest.approx(float(exact), rel=1e-14)
+        assert checked > 1000
+
+    def test_perfect_detector_caps_the_gain_at_zero(self):
+        cols = tradeoff_sweep(1.0, 5.0, 0.9, [0.5, 1.0], 1.0)
+        assert cols["closes"] and math.copysign(1.0, cols["d_max_detectable"]) == 1.0
+        assert cols["max_advance"] == 0.0 and not cols["detectable"].any()
+
+    def test_cap_beyond_the_double_range_is_named(self):
+        with pytest.raises(ValueError, match="kappa=5e-324"):
+            tradeoff_sweep(5e-324, 5.0, 0.9, [1.0], 0.01)
+        with pytest.raises(ValueError, match="v_signal=inf"):
+            tradeoff_sweep(1.0, math.inf, 0.9, [1.0], 0.01)
+
     def test_overflowing_width_is_named(self):
         # At V = 0.9 the advance per unit width is 1.7, so the sweep answers at 1e308; at
         # V = -0.9 it is -2.4, and the advance at 1e308 leaves the double range.
