@@ -189,9 +189,16 @@ def evolve_wave(
     keeps the scheme stable at courant = 1 even inside the barrier; the
     update stencil then spreads support exactly one cell per step, so at
     unit Courant the numerical light cone coincides with the physical one.
-    A step is five float64 passes at unit Courant and six below it, and a
-    record three more: |psi|, the threshold mask for the front and argmax
-    |psi| for the peak.
+    A step is u+ = (s + (1 - C^2)(2u - s)) / w - u- with s = u_right + u_left,
+    that is (C^2 s + 2 (1 - C^2) u) / w - u-, and 2u / w - u- on the two edge
+    cells, where the Laplacian is 0. At unit Courant the (1 - C^2) term is 0
+    and the step is two float64 passes, s and the subtraction of u-; below it
+    the term takes four more. Written about s, a constant field in vacuum
+    keeps its bits whatever C^2 rounds to; C^2 s + 2 (1 - C^2) u, whose two
+    weights round apart, reads several times further from an exact replay
+    just below unit Courant and at small C. A record makes three more
+    passes: |psi|, the threshold mask for the front and argmax |psi| for
+    the peak.
 
     Every record_every-th step (and the last) is recorded with its front and
     peak; only every keep_every-th record keeps its field in `snapshots`, and
@@ -216,35 +223,39 @@ def evolve_wave(
         kc2dt2 = (c * dt) ** 2 * profile.cutoff_kc**2
     _require_all(kc2dt2 < math.inf, profile.cutoff_kc, "(c dt k_c)^2 overflows at k_c={}")
     inv_w = 1.0 / (1.0 + 0.5 * kc2dt2)
-    c2 = courant**2
+    one_minus_c2 = 1.0 - courant**2  # 0 only at unit Courant: a double below 1 squares below 1
     edge_limit = 1e-12 * float(np.abs(psi0).max())
     cells = np.flatnonzero(inv_w != 1.0)  # the barrier; none in vacuum
     lo, hi = (cells[0], cells[-1] + 1) if cells.size else (0, 0)
-    scale_lap, barrier = c2 != 1.0, hi > lo
+    below_unit, barrier = one_minus_c2 != 0.0, hi > lo
     inv_w = inv_w[lo:hi]
+    correction = np.empty(grid.count - 2)  # (1 - C^2)(2 curr - s) inside, below unit Courant
 
     # Fresh buffers, never the caller's arrays, with their stencil views built once
-    # per run; the three fields rotate with their views, and lap's edge cells stay 0.
-    *rings, (lap, _, lap_mid, _, _) = [(b, b[2:], b[1:-1], b[:-2], b[lo:hi]) for b in (
-        prev.copy(), psi0.copy(), np.empty_like(psi0), np.zeros_like(psi0))]
+    # per run; the three fields rotate with their views.
+    rings = [(b, b[2:], b[1:-1], b[:-2], b[lo:hi], b[::grid.count - 1])
+             for b in (prev.copy(), psi0.copy(), np.empty_like(psi0))]
 
     def fields(schedule):
         prev, curr, nxt = rings
         yield curr[0]
         for last, target in itertools.pairwise(schedule):
             for n in range(last + 1, target + 1):
-                cur, cur_right, _, cur_left, _ = curr
-                new, _, new_mid, _, new_w = nxt
-                # (2 curr + c2 lap(curr)) / w - prev, in place and in that order. A
-                # float64 x * 1.0 is x, so the step skips c2 at unit Courant and 1/w
-                # off lo:hi, where inv_w is 1 (all of a vacuum run): five passes at
-                # unit Courant, six below.
-                np.multiply(2.0, cur, out=new)
-                np.subtract(cur_right, new_mid, out=lap_mid)
-                np.add(lap_mid, cur_left, out=lap_mid)
-                if scale_lap:
-                    np.multiply(c2, lap, out=lap)
-                np.add(new, lap, out=new)
+                _, cur_right, cur_mid, cur_left, _, cur_edges = curr
+                new, _, new_mid, _, new_w, new_edges = nxt
+                # (s + (1 - C^2)(2 curr - s)) / w - prev inside, s = right + left,
+                # in place and in that order, and (2 curr) / w - prev on the edge
+                # cells. The (1 - C^2) term is 0 at unit Courant, so the step skips
+                # it there, and a float64 x * 1.0 is x, so it skips 1/w off lo:hi,
+                # where inv_w is 1 (all of a vacuum run): two passes at unit
+                # Courant, six below.
+                np.add(cur_right, cur_left, out=new_mid)
+                if below_unit:
+                    np.multiply(2.0, cur_mid, out=correction)
+                    np.subtract(correction, new_mid, out=correction)
+                    np.multiply(one_minus_c2, correction, out=correction)
+                    np.add(new_mid, correction, out=new_mid)
+                np.multiply(2.0, cur_edges, out=new_edges)
                 if barrier:
                     np.multiply(new_w, inv_w, out=new_w)
                 np.subtract(new, prev[0], out=new)

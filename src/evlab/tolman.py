@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -187,9 +186,11 @@ def tradeoff_sweep(
         advance = d * per_width
         amplitude = np.exp(-kappa * d) ** 2
     _require_all(np.isfinite(advance), d, "the advance leaves the double range at width={}")
-    V, c2 = Fraction(frame_V), Fraction(units.c) ** 2
-    excess = V * Fraction(v_signal) / c2 - 1
-    closes = excess > 0 and excess**2 > 1 - V**2 / c2
+    # With V = a/b, v = e/f and c = g/h as integer ratios (b, f, h > 0), V v, c^2 and V^2
+    # are x, y and z over b^2 f h^2, and the loop closes iff x > y and (x - y)^2 > y (y - z).
+    (a, b), (e, f), (g, h) = (float(t).as_integer_ratio() for t in (frame_V, v_signal, units.c))
+    x, y, z = a * e * b * h * h, g * g * b * b * f, a * a * f * h * h
+    closes = x > y and (x - y) ** 2 > y * (y - z)
     d_max = abs(math.log(detector_threshold)) / (2.0 * kappa)  # abs: ln 1 = 0, not -0
     max_advance = per_width * d_max if closes else None
     if not (math.isfinite(d_max) and math.isfinite(max_advance or 0.0)):

@@ -232,12 +232,13 @@ def phase_ramp_pair(delay, n=2048, sigma=40.0, scale=0.4):
 
 
 # reshaping_distance of each pair as the bounded Brent search (xatol = 1e-12) read it
-# before Newton's method replaced it.
+# before Newton's method replaced it; the vacuum pair's, the leapfrog's roundoff residue,
+# as this reshaping_distance reads it on the leapfrog's fields.
 RESHAPED = {
     "gap_kd0.3": 0.002099506813030021,
     "gap_kd0.7": 0.002309369542267368,
     "gap_kd2.0": 0.0026178051559305584,
-    "vacuum": 2.5501459385911693e-14,
+    "vacuum": 3.10239144940364e-14,
     "barrier": 0.112474536828318,
     "two_peak": 0.2023137451831719,
 }

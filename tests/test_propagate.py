@@ -4,6 +4,7 @@ import csv
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,24 +212,27 @@ class TestWaveSolver:
 
 
 def reference_leapfrog(psi0, prev, profile, courant, steps):
-    """Every field of the out-of-place complex update, the reference the
-    in-place solver reproduces bit for bit (natural units)."""
+    """Every field of the out-of-place update, the reference the in-place
+    solver reproduces bit for bit (natural units): (s + (1 - C^2)(2u - s)) / w
+    - prev inside, s = u_right + u_left, and 2u / w - prev on the two edge
+    cells, with the (1 - C^2) term skipped at unit Courant, where it is 0."""
     dt = courant * profile.grid.dx
-    kc2dt2 = dt**2 * profile.cutoff_kc**2
-    mass_weight = 1.0 + 0.5 * kc2dt2
-    c2 = courant**2
+    inv_w = 1.0 / (1.0 + 0.5 * (dt**2 * profile.cutoff_kc**2))
+    one_minus_c2 = 1.0 - courant**2
 
-    def lap(f):
-        out = np.zeros_like(f)
-        out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    def stencil(f):
+        out = 2.0 * f
+        out[1:-1] = f[2:] + f[:-2]
+        if one_minus_c2 != 0.0:
+            out[1:-1] += one_minus_c2 * (2.0 * f[1:-1] - out[1:-1])
         return out
 
-    prev, curr = np.asarray(prev, dtype=complex), np.asarray(psi0, dtype=complex)
+    prev, curr = np.asarray(prev, dtype=float), np.asarray(psi0, dtype=float)
     fields = [curr]
     for _ in range(steps):
-        prev, curr = curr, (2.0 * curr + c2 * lap(curr)) / mass_weight - prev
+        prev, curr = curr, stencil(curr) * inv_w - prev
         fields.append(curr)
-    return fields
+    return [f.astype(complex) for f in fields]
 
 
 def reference_snapshot_text(wp):
@@ -332,6 +336,71 @@ class TestInPlaceLeapfrog:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+def exact_leapfrog(psi0, prev, profile, courant, steps):
+    """Every field of the leapfrog replayed in exact arithmetic from the same double
+    inputs (natural units): u+ = (C^2 (u_r + u_l) + 2 (1 - C^2) u) / w - u- with
+    w = 1 + (C dx k_c)^2 / 2, and 2u / w - u- on the two edge cells. A double is
+    dyadic, so it is a Fraction exactly. Field n comes back as (numerators, den):
+    integers over one denominator per step, so a step takes no gcd."""
+    courant, dx = Fraction(courant), Fraction(profile.grid.dx)
+    inv_w = [1 / (1 + (courant * dx * Fraction(kc)) ** 2 / 2)
+             for kc in profile.cutoff_kc.tolist()]
+    side = [0, *(courant**2 * iw for iw in inv_w[1:-1]), 0]
+    centre = [2 * inv_w[0], *(2 * (1 - courant**2) * iw for iw in inv_w[1:-1]),
+              2 * inv_w[-1]]
+    q = math.lcm(*(f.denominator for f in side + centre))  # den[n + 1] = q den[n]
+    side, centre = ([int(f * q) for f in weights] for weights in (side, centre))
+    den = math.lcm(*(Fraction(v).denominator for v in [*psi0.tolist(), *prev.tolist()]))
+    older, cur = ([int(Fraction(v) * den) for v in f.tolist()] for f in (prev, psi0))
+    fields, lift = [(cur, den)], q  # lift = den[n + 1] / den[n - 1]; den[-1] = den[0]
+    for _ in range(steps):
+        new = [a * u for a, u in zip(centre, cur)]
+        for j in range(1, len(cur) - 1):
+            new[j] += side[j] * (cur[j - 1] + cur[j + 1])
+        older, cur = cur, [v - lift * o for v, o in zip(new, older)]
+        lift, den = q * q, den * q
+        fields.append((cur, den))
+    return fields
+
+
+def replay_error(field, exact):
+    """max |field - exact| / (eps max |exact|), taken exactly, for a float64 field."""
+    num, den = exact
+    ratios = [v.as_integer_ratio() for v in field.tolist()]
+    r_max = max(r for _, r in ratios)  # a power of 2 that every r divides
+    err = max(abs(p * den * (r_max // r) - n * r_max) for (p, r), n in zip(ratios, num))
+    return float(Fraction(err, r_max * max(map(abs, num)))) / np.finfo(float).eps
+
+
+# The worst field of each run of test_fields_lie_near_exact_replay, in units of
+# eps max |u_exact|, as recorded from the run.
+REPLAY_ERROR = {
+    (1.0, "vacuum"): 0.22, (1.0, "barrier"): 3.2, (1.0, "cell_0"): 0.22,
+    (0.8, "vacuum"): 8.3, (0.8, "barrier"): 11.0, (0.8, "cell_0"): 8.3,
+    (1 - 2**-53, "vacuum"): 35.0, (1 - 2**-53, "barrier"): 26.0,
+    (1 - 2**-53, "cell_0"): 35.0,
+}
+
+
+class TestExactReplay:
+    @pytest.mark.parametrize("courant, name", REPLAY_ERROR)
+    def test_fields_lie_near_exact_replay(self, courant, name):
+        # A right-moving pulse from the middle of 192 cells for 80 steps: below unit
+        # Courant the stencil's light cone spreads one cell per step each way above
+        # the boundary check's 1e-12, so the grid holds twice the steps.
+        grid = Grid1D(-25.6, 0.25, 192)
+        x = grid.points()
+        profile = MediumProfile(grid, PROFILES[name](x))
+        psi0 = smooth_bump(x, x[96], 1.0, 2.0)
+        prev = smooth_bump(x + courant * grid.dx, x[96], 1.0, 2.0)
+        record = evolve_wave(WavePacket(grid, psi0), profile, courant, 80,
+                             initial_prev=prev, record_every=1)
+        exact = exact_leapfrog(psi0, prev, profile, courant, 80)
+        worst = max(replay_error(wp.values.real, ex)
+                    for wp, ex in zip(record.snapshots, exact, strict=True))
+        assert worst <= REPLAY_ERROR[courant, name]
 
 
 class TestSchrodingerSolver:

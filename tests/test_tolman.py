@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,29 @@ class TestTradeoffSweep:
                 assert (cols["max_advance"] is None) is not loop
         cols = tradeoff_sweep(1.0, 3.0, 0.6, np.linspace(0.1, 5.0, 7), 1e-3)
         assert not cols["closes"] and cols["advance"].tolist() == [0.0] * 7
+
+    @pytest.mark.parametrize("c", [1.0, 2.5, 1e-120, 3e150])
+    def test_closure_matches_fraction_decision(self, c):
+        # The integer decision against the same inequalities in Fraction: V v > c^2 and
+        # (V v / c^2 - 1)^2 > 1 - V^2 / c^2, at random points and at the doubles either
+        # side of v* = c^2 (1 + sqrt(1 - V^2 / c^2)) / V: 10^4 random points over the four c.
+        def closes(v, V):
+            V, c2 = Fraction(V), Fraction(c) ** 2
+            excess = V * Fraction(v) / c2 - 1
+            return excess > 0 and excess**2 > 1 - V**2 / c2
+
+        rng = np.random.default_rng(41)
+        points = list(zip((c * rng.uniform(1.0, 20.0, 2500)).tolist(),
+                          (c * rng.uniform(-0.999, 0.999, 2500)).tolist()))
+        for V in (c * rng.uniform(0.01, 0.999, 300)).tolist():
+            v_star = c * (1.0 + math.sqrt(1.0 - (V / c) ** 2)) / (V / c)
+            points += [(v, V) for v in (v_star, math.nextafter(v_star, 0.0),
+                                        math.nextafter(v_star, math.inf))]
+        units = UnitSystem(c=c)
+        decided = [tradeoff_sweep(1.0, v, V, [1.0], 0.01, units)["closes"] for v, V in points
+                   if v > c]
+        assert decided == [closes(v, V) for v, V in points if v > c]
+        assert 0 < sum(decided) < len(decided)
 
     def test_coefficient_and_cap_against_decimal(self):
         # advance_per_width = -[1/v + gamma (1/v - V)] at 50 digits, rel 1e-14 where the two
